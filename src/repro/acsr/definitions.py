@@ -75,13 +75,16 @@ class ProcessDef:
 class ProcessEnv:
     """A mutable collection of process definitions with memoized unfolding.
 
-    The environment also owns the semantics-level transition memo
-    (``trans_cache``): subterm transition sets depend only on the term
-    and the definitions, so the cache lives here and is shared by every
-    :class:`ClosedSystem` built over this environment.
+    The environment also owns the semantics-level memos: subterm
+    transition sets (``trans_cache``) and the per-component step tables
+    of the parallel rule (``table_cache``).  Both depend only on the
+    term and the definitions, so they live here and are shared by every
+    :class:`ClosedSystem` built over this environment.  They must not be
+    process-global: terms are interned process-wide, but a ``ProcRef``
+    unfolds through its own environment.
     """
 
-    __slots__ = ("_defs", "_unfold_cache", "trans_cache")
+    __slots__ = ("_defs", "_unfold_cache", "trans_cache", "table_cache")
 
     def __init__(self) -> None:
         self._defs: Dict[str, ProcessDef] = {}
@@ -89,6 +92,8 @@ class ProcessEnv:
         #: explicit subterm-transition memo (was a monkey-patched
         #: ``_trans_memo`` dict); consulted by ``repro.acsr.semantics``.
         self.trans_cache = TransitionCache(name="semantics")
+        #: per-component step tables of the parallel rule.
+        self.table_cache = TransitionCache(name="tables")
 
     def define(
         self,
@@ -113,6 +118,7 @@ class ProcessEnv:
                 if ref.name != name
             }
             self.trans_cache.clear()
+            self.table_cache.clear()
         return definition
 
     def __contains__(self, name: str) -> bool:
@@ -185,12 +191,15 @@ class ProcessEnv:
         return {
             "unfold_cache": len(self._unfold_cache),
             "trans_cache": self.trans_cache.stats(),
+            "table_cache": self.table_cache.stats(),
         }
 
     def clear_cache(self) -> None:
-        """Drop the unfold and transition memos (long-lived sessions)."""
+        """Drop the unfold, transition and table memos (long-lived
+        sessions)."""
         self._unfold_cache.clear()
         self.trans_cache.clear()
+        self.table_cache.clear()
 
 
 def _collect_refs(term: Term) -> List[Tuple[str, int]]:
@@ -272,22 +281,33 @@ class ClosedSystem:
         return cached
 
     def prioritized_steps(self, term: Optional[Term] = None) -> Tuple:
-        """Prioritized transitions of ``term`` (preempted steps removed)."""
+        """Prioritized transitions of ``term`` (preempted steps removed).
+
+        Computed from the urgency-pruned relation, not from
+        :meth:`steps`: timed steps that an urgent internal step preempts
+        are never built, and the unprioritized step cache is left alone.
+        """
         from repro.acsr.priority import prioritized
+        from repro.acsr.semantics import transitions
 
         if term is None:
             term = self.root
         cached = self._prio_cache.get(term)
         if cached is None:
-            cached = prioritized(self.steps(term))
+            cached = prioritized(transitions(term, self.env, urgent=True))
             self._prio_cache.put(term, cached)
         return cached
 
     def caches(self) -> Tuple[TransitionCache, ...]:
         """Every transition cache feeding this system's successor
         computation (step, prioritization, and the environment's
-        semantics memo)."""
-        return (self._step_cache, self._prio_cache, self.env.trans_cache)
+        semantics memo and component tables)."""
+        return (
+            self._step_cache,
+            self._prio_cache,
+            self.env.trans_cache,
+            self.env.table_cache,
+        )
 
     def cache_stats(self) -> Dict[str, object]:
         """Sizes and hit/miss/eviction counters of the memo tables.
@@ -300,6 +320,7 @@ class ClosedSystem:
             "step_cache": len(self._step_cache),
             "prio_cache": len(self._prio_cache),
             "trans_cache": len(self.env.trans_cache),
+            "table_cache": len(self.env.table_cache),
             "unfold_cache": len(self.env._unfold_cache),
             "detail": {
                 cache.name: cache.stats() for cache in self.caches()
@@ -310,7 +331,8 @@ class ClosedSystem:
         """Drop every memo table so long-lived sessions can bound memory.
 
         Clears the step and prioritization caches of this system plus
-        the shared environment caches (semantics memo and unfoldings).
+        the shared environment caches (semantics memo, component tables
+        and unfoldings).
         Subsequent explorations rebuild them on demand.
         """
         self._step_cache.clear()

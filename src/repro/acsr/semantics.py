@@ -21,16 +21,19 @@ Rules implemented (paper S3; Lee, Bremond-Gregoire & Gerber 1994):
 * process references unfold through the definition environment (with
   detection of unguarded recursion).
 
-The function is pure; memoization lives in
+The function is pure; memoization lives in the environment's caches
+(``trans_cache`` and the per-component ``table_cache``) and in
 :class:`repro.acsr.definitions.ClosedSystem`.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Tuple
 
 from repro.errors import AcsrDefinitionError, AcsrSemanticsError
-from repro.acsr.events import EventLabel
+from repro.acsr.events import IN, OUT, EventLabel
 from repro.acsr.resources import Action
 from repro.acsr.terms import (
     ActionPrefix,
@@ -51,9 +54,28 @@ from repro.acsr.terms import (
 
 Transition = Tuple[object, Term]  # (Action | EventLabel, successor)
 
+_COMPLEMENT = {IN: OUT, OUT: IN}
+_term_id = attrgetter("_id")
 
-def transitions(term: Term, env) -> Tuple[Transition, ...]:
-    """All unprioritized transitions of a closed term."""
+
+def transitions(
+    term: Term, env, *, urgent: bool = False
+) -> Tuple[Transition, ...]:
+    """All unprioritized transitions of a closed term.
+
+    ``urgent=True`` is for callers that prioritize the result next
+    (``ClosedSystem.prioritized_steps``).  When ``term`` is a parallel
+    composition, bare or under a restriction, and enables an internal
+    step of positive priority, its (Par3) timed steps are left out:
+    that step preempts every one of them (``A <. (tau, n)`` for
+    ``n > 0``), so the prioritized relation is unchanged.  Such a
+    result is not the term's full relation and is never cached.
+    """
+    if urgent:
+        if isinstance(term, Parallel):
+            return _trans_parallel(term, env, frozenset(), urgent=True)
+        if isinstance(term, Restrict) and isinstance(term.body, Parallel):
+            return _trans_restrict(term, env, frozenset(), urgent=True)
     return _trans(term, env, frozenset())
 
 
@@ -140,102 +162,118 @@ def _trans_choice(
     return _dedup(result)
 
 
-def _with_child(
-    children: Tuple[Term, ...], index: int, successor: Term
+def _with_children(
+    children: Tuple[Term, ...], replaced: Tuple[Tuple[int, Term], ...]
 ) -> Term:
-    """Parallel composition with one child replaced.
+    """Parallel composition with the children at the given (ascending)
+    indices replaced by successors.
 
     Fast path for the dominant case (profiling: successor construction
     was the second-largest cost): the untouched children are already in
-    canonical order, so a non-Parallel successor only needs a binary-
+    canonical order, so non-Parallel successors only need a binary-
     search insertion instead of the generic flatten-and-sort.
     """
-    if isinstance(successor, Parallel):
-        return parallel(
-            *(children[:index] + (successor,) + children[index + 1 :])
-        )
-    rest = list(children[:index]) + list(children[index + 1 :])
-    sid = successor._id
-    lo, hi = 0, len(rest)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if rest[mid]._id < sid:
-            lo = mid + 1
-        else:
-            hi = mid
-    rest.insert(lo, successor)
+    rest = list(children)
+    if any(isinstance(successor, Parallel) for _, successor in replaced):
+        for index, successor in replaced:
+            rest[index] = successor
+        return parallel(*rest)
+    for index, _ in reversed(replaced):
+        del rest[index]
+    for _, successor in replaced:
+        insort(rest, successor, key=_term_id)
     if len(rest) == 1:
         return rest[0]
     return Parallel(tuple(rest))
 
 
+def _component_table(term: Term, env, active: FrozenSet[ProcRef]) -> tuple:
+    """A parallel component's steps, split once for the parallel rule.
+
+    Returns ``(events, timed, sync)``: the event steps as
+    ``(name, label, successor)`` triples in step order, the timed steps,
+    and the non-tau event steps indexed by ``(name, direction)``.  The
+    table lives in the environment's ``table_cache``, not in a global dict:
+    terms are interned process-wide, but a ``ProcRef`` unfolds through
+    its own environment's definitions.
+    """
+    tables = env.table_cache
+    table = tables.get(term)
+    if table is None:
+        events: List[Tuple[str, EventLabel, Term]] = []
+        timed: List[Transition] = []
+        sync: Dict[Tuple[str, str], List[Transition]] = {}
+        for label, succ in _trans(term, env, active):
+            if isinstance(label, Action):
+                timed.append((label, succ))
+                continue
+            events.append((label.name, label, succ))
+            if not label.is_tau:
+                sync.setdefault((label.name, label.direction), []).append(
+                    (label, succ)
+                )
+        table = (tuple(events), tuple(timed), sync)
+        tables.put(term, table)
+    return table
+
+
 def _trans_parallel(
-    term: Parallel, env, active: FrozenSet[ProcRef]
+    term: Parallel,
+    env,
+    active: FrozenSet[ProcRef],
+    restricted: FrozenSet[str] = frozenset(),
+    urgent: bool = False,
 ) -> Tuple[Transition, ...]:
+    """Steps of a parallel composition; events named in ``restricted``
+    (by an enclosing restriction) only synchronize, and ``urgent`` is
+    as in :func:`transitions`."""
     children = term.children
-    n = len(children)
-    per_child = [_trans(child, env, active) for child in children]
+    tables = [_component_table(child, env, active) for child in children]
 
     result: List[Transition] = []
 
     # Event interleaving: one component moves, the rest stand still.
-    event_steps: List[List[Tuple[EventLabel, Term]]] = []
-    timed_steps: List[List[Tuple[Action, Term]]] = []
-    for trans in per_child:
-        events = [
-            (label, succ)
-            for label, succ in trans
-            if isinstance(label, EventLabel)
+    # ``offered`` lists the components offering each (name, direction).
+    offered: Dict[Tuple[str, str], List[int]] = {}
+    syncing: List[Tuple[int, dict]] = []
+    for i, (events, _, sync) in enumerate(tables):
+        for name, label, succ in events:
+            if name not in restricted:
+                succ = _with_children(children, ((i, succ),))
+                result.append((label, succ))
+        if sync:
+            syncing.append((i, sync))
+            for key in sync:
+                offered.setdefault(key, []).append(i)
+
+    # CCS-style synchronization between components i < j, visiting only
+    # the partners that offer a complementary event.
+    for i, sync_i in syncing:
+        wants = [
+            ((name, _COMPLEMENT[direction]), senders)
+            for (name, direction), senders in sync_i.items()
         ]
-        timed = [
-            (label, succ) for label, succ in trans if isinstance(label, Action)
-        ]
-        event_steps.append(events)
-        timed_steps.append(timed)
-
-    for i in range(n):
-        for label, succ in event_steps[i]:
-            result.append((label, _with_child(children, i, succ)))
-
-    # CCS-style synchronization between any two distinct components.
-    # Events are indexed by (name, direction) so only complementary
-    # pairs are examined (the pairwise label scan was a profile hotspot
-    # on event-heavy states).
-    by_name: List[dict] = []
-    for trans in event_steps:
-        index: dict = {}
-        for label, succ in trans:
-            if not label.is_tau:
-                index.setdefault((label.name, label.direction), []).append(
-                    (label, succ)
-                )
-        by_name.append(index)
-    from repro.acsr.events import IN, OUT
-
-    for i in range(n):
-        if not by_name[i]:
-            continue
-        for j in range(i + 1, n):
-            if not by_name[j]:
-                continue
-            for (name, direction), senders in by_name[i].items():
-                partners = by_name[j].get(
-                    (name, IN if direction == OUT else OUT)
-                )
-                if not partners:
-                    continue
+        partners = {j for key, _ in wants for j in offered.get(key, ())}
+        for j in sorted(j for j in partners if j > i):
+            sync_j = tables[j][2]
+            for key, senders in wants:
                 for label_i, succ_i in senders:
-                    for label_j, succ_j in partners:
-                        tau = label_i.synchronize(label_j)
-                        rest = list(children)
-                        rest[i] = succ_i
-                        rest[j] = succ_j
-                        result.append((tau, parallel(*rest)))
+                    for label_j, succ_j in sync_j.get(key, ()):
+                        pair = ((i, succ_i), (j, succ_j))
+                        succ = _with_children(children, pair)
+                        result.append((label_i.synchronize(label_j), succ))
 
     # (Par3): simultaneous timed steps with pairwise disjoint resources.
     # Every component must take a timed step; a component with none blocks
-    # global time progress.
-    if all(timed_steps):
+    # global time progress.  Under ``urgent``, an enabled (tau, n > 0)
+    # preempts every such step, so the product is not built.
+    timed_steps = [table[1] for table in tables]
+    if all(timed_steps) and not (
+        urgent
+        and any(
+            label.is_tau and label.int_priority() > 0 for label, _ in result
+        )
+    ):
         combos: List[Tuple[Action, List[Term]]] = [(None, [])]  # type: ignore[list-item]
         for options in timed_steps:
             new_combos: List[Tuple[Action, List[Term]]] = []
@@ -258,18 +296,30 @@ def _trans_parallel(
 
 
 def _trans_restrict(
-    term: Restrict, env, active: FrozenSet[ProcRef]
+    term: Restrict,
+    env,
+    active: FrozenSet[ProcRef],
+    urgent: bool = False,
 ) -> Tuple[Transition, ...]:
-    result: List[Transition] = []
-    for label, succ in _trans(term.body, env, active):
-        if (
-            isinstance(label, EventLabel)
-            and not label.is_tau
-            and label.name in term.names
-        ):
-            continue
-        result.append((label, Restrict(succ, term.names)))
-    return _dedup(result)
+    names = term.names
+    if isinstance(term.body, Parallel):
+        # Restriction-aware interleaving: a restricted event of a
+        # component can only synchronize, so its interleaving successor
+        # is never built just to be deleted here.
+        steps = _trans_parallel(term.body, env, active, names, urgent)
+    else:
+        steps = [
+            (label, succ)
+            for label, succ in _trans(term.body, env, active)
+            if not (
+                isinstance(label, EventLabel)
+                and not label.is_tau
+                and label.name in names
+            )
+        ]
+    # The body's steps are already deduplicated and wrapping is
+    # injective, so no second dedup pass is needed.
+    return tuple((label, Restrict(succ, names)) for label, succ in steps)
 
 
 def _trans_close(

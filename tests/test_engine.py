@@ -323,15 +323,29 @@ class TestSystemCacheApi:
     def test_cache_stats_and_clear(self, counter_system):
         explore(counter_system)
         stats = counter_system.cache_stats()
-        assert stats["step_cache"] >= 1
+        # A prioritized run fills the prioritized cache only; the
+        # unprioritized step cache stays empty.
+        assert stats["step_cache"] == 0
         assert stats["prio_cache"] >= 1
         assert stats["trans_cache"] >= 1
         assert stats["detail"]["semantics"]["misses"] >= 1
         counter_system.clear_cache()
         stats = counter_system.cache_stats()
-        assert stats["step_cache"] == 0
+        assert stats["prio_cache"] == 0
         assert stats["trans_cache"] == 0
         assert stats["unfold_cache"] == 0
+
+    def test_component_tables_reported_and_cleared(self, counter_env):
+        system = counter_env.close(
+            parallel(proc("Count", 0), idle() >> proc("Count", 2))
+        )
+        explore(system)
+        stats = system.cache_stats()
+        assert stats["table_cache"] >= 2
+        assert stats["detail"]["tables"]["misses"] >= 2
+        assert counter_env.table_cache in system.caches()
+        system.clear_cache()
+        assert system.cache_stats()["table_cache"] == 0
 
     def test_env_owns_explicit_trans_cache(self, counter_env):
         assert isinstance(counter_env.trans_cache, TransitionCache)
@@ -350,8 +364,8 @@ class TestSystemCacheApi:
         system = counter_env.close(proc("Count", 0), cache_maxsize=2)
         explore(system)
         stats = system.cache_stats()
-        assert stats["step_cache"] <= 2
-        assert stats["detail"]["steps"]["evictions"] >= 1
+        assert stats["prio_cache"] <= 2
+        assert stats["detail"]["prioritized"]["evictions"] >= 1
 
 
 class TestObservers:
