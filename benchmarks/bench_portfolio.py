@@ -65,12 +65,15 @@ def test_campaign_analytic_share(benchmark):
     """Over the oracle smoke envelope the analytic tiers must carry at
     least half the verdicts (the ISSUE acceptance bar) -- in practice
     the classical fragment is fully covered and the share is ~100%."""
-    from repro.oracle import run_portfolio_campaign
+    from repro.oracle import run_relation
 
     started = time.perf_counter()
     report = benchmark.pedantic(
-        lambda: run_portfolio_campaign(
-            seeds=CAMPAIGN_SEEDS, base_seed=0, max_states=MAX_STATES
+        lambda: run_relation(
+            "portfolio",
+            seeds=CAMPAIGN_SEEDS,
+            base_seed=0,
+            max_states=MAX_STATES,
         ),
         rounds=1,
         iterations=1,
@@ -78,16 +81,18 @@ def test_campaign_analytic_share(benchmark):
     elapsed = time.perf_counter() - started
 
     assert report.disagreements == []
-    analytic = report.analytic
-    assert len(analytic) * 2 >= len(report.outcomes)
-    assert all(o.portfolio_states == 0 for o in analytic)
+    counts = report.counts
+    assert counts["analytic"] * 2 >= len(report.outcomes)
+    assert counts["analytic_states"] == 0
 
-    rows = [
-        (name, count)
-        for name, count in sorted(
-            report.tier_histogram().items(), key=lambda kv: -kv[1]
-        )
-    ]
+    rows = sorted(
+        (
+            (name[len("decided_by."):], count)
+            for name, count in counts.items()
+            if name.startswith("decided_by.")
+        ),
+        key=lambda row: -row[1],
+    )
     print_table(
         f"portfolio campaign ({CAMPAIGN_SEEDS} seeds, {elapsed:.1f}s): "
         f"deciding tiers",

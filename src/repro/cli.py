@@ -543,73 +543,16 @@ def cmd_oracle_run(args) -> int:
     return EXIT_VIOLATION if report.disagreements else EXIT_SCHEDULABLE
 
 
-def cmd_oracle_compose(args) -> int:
-    from repro.oracle import run_compose_campaign
+def cmd_oracle_relation(args) -> int:
+    from repro.oracle import RELATIONS, run_relation
 
-    report = run_compose_campaign(
+    relation = RELATIONS[args.oracle_command]
+    report = run_relation(
+        relation.name,
         seeds=args.seeds,
         base_seed=args.base_seed,
-        max_states=args.max_states,
-        coupled_fraction=args.coupled_fraction,
         progress=args.progress,
-    )
-    print(report.format())
-    return EXIT_VIOLATION if report.disagreements else EXIT_SCHEDULABLE
-
-
-def cmd_oracle_reduce(args) -> int:
-    from repro.oracle import run_reduce_campaign
-
-    report = run_reduce_campaign(
-        seeds=args.seeds,
-        base_seed=args.base_seed,
-        max_states=args.max_states,
-        spec=args.spec,
-        fault=args.fault,
-        jitter_fraction=args.jitter_fraction,
-        progress=args.progress,
-    )
-    print(report.format())
-    return EXIT_VIOLATION if report.disagreements else EXIT_SCHEDULABLE
-
-
-def cmd_oracle_hier(args) -> int:
-    from repro.oracle import run_hier_campaign
-
-    report = run_hier_campaign(
-        seeds=args.seeds,
-        base_seed=args.base_seed,
-        max_window=args.max_window,
-        fault=args.fault,
-        progress=args.progress,
-    )
-    print(report.format())
-    return EXIT_VIOLATION if report.disagreements else EXIT_SCHEDULABLE
-
-
-def cmd_oracle_modal(args) -> int:
-    from repro.oracle import run_modal_campaign
-
-    report = run_modal_campaign(
-        seeds=args.seeds,
-        base_seed=args.base_seed,
-        max_phasings=args.max_phasings,
-        max_window=args.max_window,
-        fault=args.fault,
-        progress=args.progress,
-    )
-    print(report.format())
-    return EXIT_VIOLATION if report.disagreements else EXIT_SCHEDULABLE
-
-
-def cmd_oracle_portfolio(args) -> int:
-    from repro.oracle import run_portfolio_campaign
-
-    report = run_portfolio_campaign(
-        seeds=args.seeds,
-        base_seed=args.base_seed,
-        max_states=args.max_states,
-        progress=args.progress,
+        **{p.name: getattr(args, p.name) for p in relation.params},
     )
     print(report.format())
     return EXIT_VIOLATION if report.disagreements else EXIT_SCHEDULABLE
@@ -1119,211 +1062,40 @@ def build_parser() -> argparse.ArgumentParser:
     tracing_options(p_run, profile_flag="--span-profile")
     p_run.set_defaults(func=cmd_oracle_run)
 
-    p_oracle_compose = oracle_sub.add_parser(
-        "compose",
-        help="seeded campaign asserting compositional ≡ monolithic "
-        "verdicts on multiprocessor workloads",
-        epilog=EXIT_STATUS_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p_oracle_compose.add_argument(
-        "--seeds",
-        type=int,
-        default=50,
-        help="number of seeded cases to draw (default 50)",
-    )
-    p_oracle_compose.add_argument(
-        "--base-seed",
-        type=int,
-        default=0,
-        help="first seed of the campaign (case i uses base-seed + i)",
-    )
-    p_oracle_compose.add_argument(
-        "--max-states",
-        type=int,
-        default=150_000,
-        help="per-analysis exploration budget",
-    )
-    p_oracle_compose.add_argument(
-        "--coupled-fraction",
-        type=float,
-        default=0.25,
-        help="fraction of draws kept bus-coupled to exercise the "
-        "monolithic fallback (default 0.25)",
-    )
-    p_oracle_compose.add_argument(
-        "--progress",
-        action="store_true",
-        help="report per-case progress to stderr",
-    )
-    p_oracle_compose.set_defaults(func=cmd_oracle_compose)
+    from repro.oracle import RELATIONS
 
-    p_oracle_reduce = oracle_sub.add_parser(
-        "reduce",
-        help="seeded campaign asserting reduced ≡ unreduced verdicts "
-        "on replicated workloads (UNKNOWN-aware)",
-        epilog=EXIT_STATUS_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p_oracle_reduce.add_argument(
-        "--seeds",
-        type=int,
-        default=50,
-        help="number of seeded cases to draw (default 50)",
-    )
-    p_oracle_reduce.add_argument(
-        "--base-seed",
-        type=int,
-        default=0,
-        help="first seed of the campaign (case i uses base-seed + i)",
-    )
-    p_oracle_reduce.add_argument(
-        "--max-states",
-        type=int,
-        default=150_000,
-        help="per-analysis exploration budget",
-    )
-    p_oracle_reduce.add_argument(
-        "--spec",
-        default="sym,por",
-        metavar="PASSES",
-        help="reduction passes under test (default sym,por)",
-    )
-    p_oracle_reduce.add_argument(
-        "--fault",
-        default=None,
-        help="inject a known reduction bug into the reduced side "
-        "(harness self-test; see repro.engine.reduce.REDUCTION_FAULTS)",
-    )
-    p_oracle_reduce.add_argument(
-        "--jitter-fraction",
-        type=float,
-        default=0.25,
-        help="fraction of draws given offset jitter so symmetry must "
-        "decline to fire (default 0.25)",
-    )
-    p_oracle_reduce.add_argument(
-        "--progress",
-        action="store_true",
-        help="report per-case progress to stderr",
-    )
-    p_oracle_reduce.set_defaults(func=cmd_oracle_reduce)
-
-    p_oracle_hier = oracle_sub.add_parser(
-        "hier",
-        help="seeded campaign asserting the BDR interface check never "
-        "passes a partition the flattened simulation fails",
-        epilog=EXIT_STATUS_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p_oracle_hier.add_argument(
-        "--seeds",
-        type=int,
-        default=50,
-        help="number of seeded cases to draw (default 50)",
-    )
-    p_oracle_hier.add_argument(
-        "--base-seed",
-        type=int,
-        default=0,
-        help="first seed of the campaign (case i uses base-seed + i)",
-    )
-    p_oracle_hier.add_argument(
-        "--max-window",
-        type=int,
-        default=1 << 16,
-        help="flattened-simulation window cap per partition",
-    )
-    p_oracle_hier.add_argument(
-        "--fault",
-        default=None,
-        help="inject a known interface-derivation bug into the analytic "
-        "side (harness self-test; see repro.hier.interface.HIER_FAULTS)",
-    )
-    p_oracle_hier.add_argument(
-        "--progress",
-        action="store_true",
-        help="report per-case progress to stderr",
-    )
-    p_oracle_hier.set_defaults(func=cmd_oracle_hier)
-
-    p_oracle_modal = oracle_sub.add_parser(
-        "modal",
-        help="seeded campaign asserting the modal steady half matches "
-        "independent per-mode analysis and the transient checker "
-        "never passes a transition the exhaustive switch-phasing "
-        "simulation fails",
-        epilog=EXIT_STATUS_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p_oracle_modal.add_argument(
-        "--seeds",
-        type=int,
-        default=50,
-        help="number of seeded cases to draw (default 50)",
-    )
-    p_oracle_modal.add_argument(
-        "--base-seed",
-        type=int,
-        default=0,
-        help="first seed of the campaign (case i uses base-seed + i)",
-    )
-    p_oracle_modal.add_argument(
-        "--max-phasings",
-        type=int,
-        default=512,
-        help="switch-phasing cap per transition",
-    )
-    p_oracle_modal.add_argument(
-        "--max-window",
-        type=int,
-        default=1 << 15,
-        help="transient-simulation window cap per phasing",
-    )
-    p_oracle_modal.add_argument(
-        "--fault",
-        default=None,
-        help="inject a known transient-checker bug into the modal side "
-        "(harness self-test; see repro.modal.transient.MODAL_FAULTS)",
-    )
-    p_oracle_modal.add_argument(
-        "--progress",
-        action="store_true",
-        help="report per-case progress to stderr",
-    )
-    p_oracle_modal.set_defaults(func=cmd_oracle_modal)
-
-    p_oracle_portfolio = oracle_sub.add_parser(
-        "portfolio",
-        help="seeded campaign asserting portfolio ≡ pure-exploration "
-        "verdicts (UNKNOWN-aware, witnesses cross-checked)",
-        epilog=EXIT_STATUS_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p_oracle_portfolio.add_argument(
-        "--seeds",
-        type=int,
-        default=50,
-        help="number of seeded cases to draw (default 50)",
-    )
-    p_oracle_portfolio.add_argument(
-        "--base-seed",
-        type=int,
-        default=0,
-        help="first seed of the campaign (case i uses base-seed + i)",
-    )
-    p_oracle_portfolio.add_argument(
-        "--max-states",
-        type=int,
-        default=150_000,
-        help="per-analysis exploration budget",
-    )
-    p_oracle_portfolio.add_argument(
-        "--progress",
-        action="store_true",
-        help="report per-case progress to stderr",
-    )
-    p_oracle_portfolio.set_defaults(func=cmd_oracle_portfolio)
+    for relation in RELATIONS.values():
+        p_relation = oracle_sub.add_parser(
+            relation.name,
+            help=relation.help,
+            epilog=EXIT_STATUS_EPILOG,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+        p_relation.add_argument(
+            "--seeds",
+            type=int,
+            default=50,
+            help="number of seeded cases to draw (default 50)",
+        )
+        p_relation.add_argument(
+            "--base-seed",
+            type=int,
+            default=0,
+            help="first seed of the campaign (case i uses base-seed + i)",
+        )
+        for param in relation.params:
+            p_relation.add_argument(
+                param.flag,
+                type=str if param.default is None else type(param.default),
+                default=param.default,
+                help=param.help,
+            )
+        p_relation.add_argument(
+            "--progress",
+            action="store_true",
+            help="report per-case progress to stderr",
+        )
+        p_relation.set_defaults(func=cmd_oracle_relation)
 
     p_replay = oracle_sub.add_parser(
         "replay", help="re-run a persisted repro bundle"

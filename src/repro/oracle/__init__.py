@@ -17,7 +17,11 @@ This subpackage turns that cross-check into a first-class subsystem:
 * :mod:`~repro.oracle.campaign` -- seeded campaigns over the
   :mod:`repro.workloads` generators (``repro oracle run``);
 * :mod:`~repro.oracle.faults` -- injectable translator defects that
-  prove the harness catches what it is supposed to catch.
+  prove the harness catches what it is supposed to catch;
+* :mod:`~repro.oracle.relations` -- one seeded campaign runner for the
+  layer-vs-reference relations (compose, reduce, hier, modal,
+  portfolio), each defined in its own module
+  (``repro oracle <relation>``).
 
 See ``docs/oracle.md`` for the agreement matrix and caveats.
 """
@@ -37,36 +41,13 @@ from repro.oracle.campaign import (
     run_campaign,
 )
 from repro.oracle.case import OracleCase
-from repro.oracle.compose import (
-    ComposeCampaignReport,
-    ComposeCaseOutcome,
-    evaluate_compose_case,
-    run_compose_campaign,
-)
 from repro.oracle.faults import FAULTS, Fault, fault_names, get_fault
-from repro.oracle.hier import (
-    HierCampaignReport,
-    HierCaseOutcome,
-    evaluate_hier_case,
-    run_hier_campaign,
-)
-from repro.oracle.modal import (
-    ModalCampaignReport,
-    ModalCaseOutcome,
-    evaluate_modal_case,
-    run_modal_campaign,
-)
-from repro.oracle.reduce import (
-    ReduceCampaignReport,
-    ReduceCaseOutcome,
-    evaluate_reduce_case,
-    run_reduce_campaign,
-)
-from repro.oracle.portfolio import (
-    PortfolioCampaignReport,
-    PortfolioCaseOutcome,
-    evaluate_portfolio_case,
-    run_portfolio_campaign,
+from repro.oracle.relations import (
+    RELATIONS,
+    Relation,
+    RelationOutcome,
+    RelationReport,
+    run_relation,
 )
 from repro.oracle.shrink import ShrinkResult, shrink_case
 from repro.oracle.verdicts import (
@@ -85,22 +66,16 @@ __all__ = [
     "CampaignReport",
     "CaseClassification",
     "CaseOutcome",
-    "ComposeCampaignReport",
-    "ComposeCaseOutcome",
     "DEFAULT_ARTIFACTS_DIR",
     "FAULTS",
     "Fault",
-    "HierCampaignReport",
-    "HierCaseOutcome",
-    "ModalCampaignReport",
-    "ModalCaseOutcome",
     "OracleCase",
     "OracleVerdict",
     "PROFILES",
-    "PortfolioCampaignReport",
-    "PortfolioCaseOutcome",
-    "ReduceCampaignReport",
-    "ReduceCaseOutcome",
+    "RELATIONS",
+    "Relation",
+    "RelationOutcome",
+    "RelationReport",
     "ReplayResult",
     "ReproBundle",
     "ShrinkResult",
@@ -108,20 +83,11 @@ __all__ = [
     "classify",
     "draw_case",
     "evaluate_case",
-    "evaluate_compose_case",
-    "evaluate_hier_case",
-    "evaluate_modal_case",
-    "evaluate_portfolio_case",
-    "evaluate_reduce_case",
     "fault_names",
     "get_fault",
     "replay_bundle",
     "run_campaign",
-    "run_compose_campaign",
-    "run_hier_campaign",
-    "run_modal_campaign",
     "run_pipeline",
-    "run_portfolio_campaign",
-    "run_reduce_campaign",
+    "run_relation",
     "shrink_case",
 ]

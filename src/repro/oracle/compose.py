@@ -12,7 +12,8 @@ fallback path.
 Each seeded case draws a multiprocessor system from
 :func:`repro.workloads.generators.multiprocessor_system`
 (``shared_bus=False`` gives an island per processor; a fraction keeps
-the bus to exercise the fallback), runs both analyses, and classifies:
+the bus to exercise the fallback), runs both analyses, and classifies
+them with :func:`repro.oracle.relations.equal`:
 
 * ``AGREED`` -- same decided verdict;
 * ``UNKNOWN`` -- either side exhausted its budget (a budget-bound
@@ -24,149 +25,26 @@ the bus to exercise the fallback), runs both analyses, and classifies:
 
 from __future__ import annotations
 
-import sys
-import time
-from typing import List, Optional
-
 import numpy as np
 
-from repro.analysis.schedulability import Verdict, analyze_model
+from repro.analysis.schedulability import analyze_model
 from repro.compose.runner import analyze_compositionally
-from repro.oracle.verdicts import AgreementStatus
+from repro.oracle.relations import (
+    DISAGREED,
+    MAX_STATES,
+    MAX_STATES_PARAM,
+    Relation,
+    RelationOutcome,
+    equal,
+)
 from repro.workloads.generators import multiprocessor_system
 
-
-class ComposeCaseOutcome:
-    """One seed's monolithic-vs-compositional comparison."""
-
-    __slots__ = (
-        "seed",
-        "status",
-        "monolithic_verdict",
-        "compositional_verdict",
-        "mode",
-        "islands",
-        "monolithic_states",
-        "compositional_states",
-        "coupled",
-    )
-
-    def __init__(
-        self,
-        *,
-        seed: int,
-        status: AgreementStatus,
-        monolithic_verdict: Verdict,
-        compositional_verdict: Verdict,
-        mode: str,
-        islands: int,
-        monolithic_states: int,
-        compositional_states: int,
-        coupled: bool,
-    ) -> None:
-        self.seed = seed
-        self.status = status
-        self.monolithic_verdict = monolithic_verdict
-        self.compositional_verdict = compositional_verdict
-        self.mode = mode
-        self.islands = islands
-        self.monolithic_states = monolithic_states
-        self.compositional_states = compositional_states
-        self.coupled = coupled
-
-    def __repr__(self) -> str:
-        return (
-            f"ComposeCaseOutcome(seed={self.seed}, {self.status.value}, "
-            f"mono={self.monolithic_verdict.value}, "
-            f"comp={self.compositional_verdict.value})"
-        )
+#: Fraction of draws that keep the shared bus, so the monolithic
+#: fallback runs in the same campaign.
+COUPLED_FRACTION = 0.25
 
 
-class ComposeCampaignReport:
-    """Aggregate of one compositional-agreement campaign."""
-
-    def __init__(
-        self,
-        *,
-        outcomes: List[ComposeCaseOutcome],
-        elapsed: float,
-        base_seed: int,
-    ) -> None:
-        self.outcomes = outcomes
-        self.elapsed = elapsed
-        self.base_seed = base_seed
-
-    @property
-    def disagreements(self) -> List[ComposeCaseOutcome]:
-        return [
-            o for o in self.outcomes
-            if o.status is AgreementStatus.DISAGREED
-        ]
-
-    @property
-    def agreed(self) -> List[ComposeCaseOutcome]:
-        return [
-            o for o in self.outcomes if o.status is AgreementStatus.AGREED
-        ]
-
-    @property
-    def unknown(self) -> List[ComposeCaseOutcome]:
-        return [
-            o for o in self.outcomes
-            if o.status is AgreementStatus.UNKNOWN
-        ]
-
-    def format(self) -> str:
-        decomposed = [o for o in self.outcomes if o.mode == "compositional"]
-        lines = [
-            f"compose campaign: {len(self.outcomes)} case(s) "
-            f"(base seed {self.base_seed}), {self.elapsed:.1f}s",
-            f"  agreed: {len(self.agreed)}  "
-            f"disagreed: {len(self.disagreements)}  "
-            f"unknown: {len(self.unknown)}",
-            f"  decomposed: {len(decomposed)}, "
-            f"monolithic fallback: {len(self.outcomes) - len(decomposed)}",
-        ]
-        if decomposed:
-            mono = sum(o.monolithic_states for o in decomposed)
-            comp = sum(o.compositional_states for o in decomposed)
-            lines.append(
-                f"  states over decomposed cases: monolithic {mono}, "
-                f"islands {comp}"
-            )
-        for outcome in self.disagreements:
-            lines.append(
-                f"  DISAGREED seed {outcome.seed}: monolithic "
-                f"{outcome.monolithic_verdict.value} vs compositional "
-                f"{outcome.compositional_verdict.value} "
-                f"({outcome.islands} islands)"
-            )
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return (
-            f"ComposeCampaignReport(cases={len(self.outcomes)}, "
-            f"disagreed={len(self.disagreements)})"
-        )
-
-
-def classify_agreement(
-    monolithic: Verdict, compositional: Verdict
-) -> AgreementStatus:
-    """The compositional ≡ monolithic relation, UNKNOWN-aware."""
-    if Verdict.UNKNOWN in (monolithic, compositional):
-        return AgreementStatus.UNKNOWN
-    if monolithic is compositional:
-        return AgreementStatus.AGREED
-    return AgreementStatus.DISAGREED
-
-
-def evaluate_compose_case(
-    seed: int,
-    *,
-    max_states: int = 150_000,
-    coupled_fraction: float = 0.25,
-) -> ComposeCaseOutcome:
+def evaluate(seed: int, *, max_states: int = MAX_STATES) -> RelationOutcome:
     """Draw one multiprocessor system from ``seed`` and compare the two
     analyses.  Every parameter (processor count, thread counts, target
     utilization, bus coupling) derives from the seed, so a failing seed
@@ -175,7 +53,7 @@ def evaluate_compose_case(
     n_processors = int(rng.integers(2, 4))
     threads_per_processor = int(rng.integers(1, 3))
     utilization = float(rng.uniform(0.3, 1.15))
-    coupled = bool(rng.random() < coupled_fraction)
+    coupled = bool(rng.random() < COUPLED_FRACTION)
     instance = multiprocessor_system(
         n_processors,
         threads_per_processor,
@@ -187,62 +65,36 @@ def evaluate_compose_case(
     compositional = analyze_compositionally(
         instance, max_states=max_states, workers=1
     )
-    return ComposeCaseOutcome(
-        seed=seed,
-        status=classify_agreement(monolithic.verdict, compositional.verdict),
-        monolithic_verdict=monolithic.verdict,
-        compositional_verdict=compositional.verdict,
-        mode=compositional.mode,
-        islands=len(compositional.partition.islands),
-        monolithic_states=monolithic.num_states,
-        compositional_states=compositional.total_states,
-        coupled=coupled,
+    status = equal(monolithic.verdict, compositional.verdict)
+    decomposed = compositional.mode == "compositional"
+    return RelationOutcome(
+        seed,
+        status,
+        compositional.mode,
+        counts={
+            "decomposed": int(decomposed),
+            "fallback": int(not decomposed),
+            # State totals over decomposed cases only: a fallback
+            # explores the same space twice.
+            "monolithic_states": monolithic.num_states if decomposed else 0,
+            "island_states": (
+                compositional.total_states if decomposed else 0
+            ),
+        },
+        details=[
+            f"monolithic {monolithic.verdict.value} vs compositional "
+            f"{compositional.verdict.value} "
+            f"({len(compositional.partition.islands)} islands)"
+        ]
+        if status is DISAGREED
+        else [],
     )
 
 
-def run_compose_campaign(
-    *,
-    seeds: int = 50,
-    base_seed: int = 0,
-    max_states: int = 150_000,
-    coupled_fraction: float = 0.25,
-    progress: bool = False,
-) -> ComposeCampaignReport:
-    """Seeded campaign over the compositional ≡ monolithic relation.
-
-    Runs inline (no pool): each case already analyzes two full models,
-    and the monolithic side dominates, so pool-per-case overhead buys
-    nothing at smoke scale.
-    """
-    from repro.obs.tracer import current_tracer
-
-    started = time.perf_counter()
-    outcomes: List[ComposeCaseOutcome] = []
-    with current_tracer().span(
-        "oracle.compose", seeds=seeds, base_seed=base_seed
-    ) as span:
-        for index in range(seeds):
-            outcome = evaluate_compose_case(
-                base_seed + index,
-                max_states=max_states,
-                coupled_fraction=coupled_fraction,
-            )
-            outcomes.append(outcome)
-            if progress:
-                print(
-                    f"[{index + 1}/{seeds}] seed {outcome.seed}: "
-                    f"{outcome.status.value} ({outcome.mode})",
-                    file=sys.stderr,
-                )
-        span.set(
-            disagreed=sum(
-                1
-                for o in outcomes
-                if o.status is AgreementStatus.DISAGREED
-            )
-        )
-    return ComposeCampaignReport(
-        outcomes=outcomes,
-        elapsed=time.perf_counter() - started,
-        base_seed=base_seed,
-    )
+RELATION = Relation(
+    name="compose",
+    help="seeded campaign asserting compositional ≡ monolithic "
+    "verdicts on multiprocessor workloads",
+    evaluate=evaluate,
+    params=(MAX_STATES_PARAM,),
+)

@@ -7,12 +7,13 @@ passes.  The converse need not hold -- the BDR abstraction gives up
 supply a concrete periodic server actually delivers, so an
 interface-fail / simulation-pass split is legitimate conservatism, not
 a bug -- which makes this a one-sided (soundness) relation rather than
-an equivalence:
+an equivalence, classified per partition with
+:func:`repro.oracle.relations.implies`:
 
 * ``AGREED`` -- both sides pass, both fail, or only the (conservative)
   interface side fails;
-* ``UNKNOWN`` -- the flattened window exceeded the cap on some
-  partition, so the exact side abstained;
+* ``UNKNOWN`` -- the flattened window exceeded the cap on a partition
+  the interface check passed, so the exact side abstained;
 * ``DISAGREED`` -- the interface check passed a partition the exact
   simulation fails.  That is a soundness hole; CI gates on it.
 
@@ -25,13 +26,19 @@ self-test that it can catch an over-promising supply abstraction.
 
 from __future__ import annotations
 
-import sys
-import time
 from typing import List, Optional
 
 import numpy as np
 
-from repro.oracle.verdicts import AgreementStatus
+from repro.hier.interface import HIER_FAULTS
+from repro.oracle.relations import (
+    DISAGREED,
+    Param,
+    Relation,
+    RelationOutcome,
+    implies,
+    worst,
+)
 from repro.workloads.generators import partitioned_system
 
 #: Flattened-simulation window cap for campaign cases; generator
@@ -39,133 +46,12 @@ from repro.workloads.generators import partitioned_system
 DEFAULT_CAMPAIGN_WINDOW = 1 << 16
 
 
-class HierCaseOutcome:
-    """One seed's interface-vs-flattened comparison."""
-
-    __slots__ = (
-        "seed",
-        "status",
-        "partitions",
-        "interface_passes",
-        "sim_passes",
-        "conservative",
-        "details",
-    )
-
-    def __init__(
-        self,
-        *,
-        seed: int,
-        status: AgreementStatus,
-        partitions: int,
-        interface_passes: int,
-        sim_passes: int,
-        conservative: int,
-        details: List[str],
-    ) -> None:
-        self.seed = seed
-        self.status = status
-        self.partitions = partitions
-        #: partitions the interface check passed
-        self.interface_passes = interface_passes
-        #: partitions the flattened simulation passed
-        self.sim_passes = sim_passes
-        #: interface-fail / simulation-pass splits (abstraction cost)
-        self.conservative = conservative
-        self.details = details
-
-    def __repr__(self) -> str:
-        return (
-            f"HierCaseOutcome(seed={self.seed}, {self.status.value}, "
-            f"{self.partitions} partition(s))"
-        )
-
-
-class HierCampaignReport:
-    """Aggregate of one hierarchical-agreement campaign."""
-
-    def __init__(
-        self,
-        *,
-        outcomes: List[HierCaseOutcome],
-        elapsed: float,
-        base_seed: int,
-        fault: Optional[str],
-    ) -> None:
-        self.outcomes = outcomes
-        self.elapsed = elapsed
-        self.base_seed = base_seed
-        self.fault = fault
-
-    @property
-    def disagreements(self) -> List[HierCaseOutcome]:
-        return [
-            o for o in self.outcomes
-            if o.status is AgreementStatus.DISAGREED
-        ]
-
-    @property
-    def agreed(self) -> List[HierCaseOutcome]:
-        return [
-            o for o in self.outcomes if o.status is AgreementStatus.AGREED
-        ]
-
-    @property
-    def unknown(self) -> List[HierCaseOutcome]:
-        return [
-            o for o in self.outcomes
-            if o.status is AgreementStatus.UNKNOWN
-        ]
-
-    @property
-    def conservative(self) -> int:
-        return sum(o.conservative for o in self.outcomes)
-
-    def format(self) -> str:
-        partitions = sum(o.partitions for o in self.outcomes)
-        lines = [
-            "hier campaign"
-            + (f" fault={self.fault}" if self.fault else "")
-            + f": {len(self.outcomes)} case(s), {partitions} partition(s) "
-            f"(base seed {self.base_seed}), {self.elapsed:.1f}s",
-            f"  agreed: {len(self.agreed)}  "
-            f"disagreed: {len(self.disagreements)}  "
-            f"unknown: {len(self.unknown)}",
-            f"  interface passes: "
-            f"{sum(o.interface_passes for o in self.outcomes)}  "
-            f"simulation passes: "
-            f"{sum(o.sim_passes for o in self.outcomes)}  "
-            f"conservative (interface-only fails): {self.conservative}",
-        ]
-        for outcome in self.disagreements:
-            for detail in outcome.details:
-                lines.append(f"  DISAGREED seed {outcome.seed}: {detail}")
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return (
-            f"HierCampaignReport(cases={len(self.outcomes)}, "
-            f"disagreed={len(self.disagreements)})"
-        )
-
-
-def classify_partition(
-    interface_ok: bool, sim_ok: Optional[bool]
-) -> AgreementStatus:
-    """The one-sided interface ⇒ simulation relation for one partition."""
-    if sim_ok is None:
-        return AgreementStatus.UNKNOWN
-    if interface_ok and not sim_ok:
-        return AgreementStatus.DISAGREED
-    return AgreementStatus.AGREED
-
-
-def evaluate_hier_case(
+def evaluate(
     seed: int,
     *,
     max_window: int = DEFAULT_CAMPAIGN_WINDOW,
     fault: Optional[str] = None,
-) -> HierCaseOutcome:
+) -> RelationOutcome:
     """Draw one partitioned system from ``seed`` and compare the
     interface check against the flattened simulation on each partition.
     Every parameter (partition count, threads, utilization, supply
@@ -201,7 +87,7 @@ def evaluate_hier_case(
         else None
     )
 
-    statuses: List[AgreementStatus] = []
+    statuses = []
     details: List[str] = []
     interface_passes = sim_passes = conservative = 0
     partition_units = [u for u in context.units if u.interface is not None]
@@ -226,79 +112,51 @@ def evaluate_hier_case(
             policy=unit.sim_policy or "rate",
             max_window=max_window,
         )
-        status = classify_partition(interface_ok, run.schedulable)
+        status = implies(interface_ok, run.schedulable)
         statuses.append(status)
-        if interface_ok:
-            interface_passes += 1
-        if run.schedulable:
-            sim_passes += 1
-        if not interface_ok and run.schedulable:
-            conservative += 1
-        if status is AgreementStatus.DISAGREED:
+        interface_passes += interface_ok
+        sim_passes += bool(run.schedulable)
+        conservative += not interface_ok and bool(run.schedulable)
+        if status is DISAGREED:
             details.append(
                 f"{unit.processor} [{checked.token}]: interface passed "
                 f"but flattened simulation misses "
                 f"({run.misses[0][0]} at t={run.misses[0][1]})"
             )
 
-    if AgreementStatus.DISAGREED in statuses:
-        status = AgreementStatus.DISAGREED
-    elif AgreementStatus.UNKNOWN in statuses:
-        status = AgreementStatus.UNKNOWN
-    else:
-        status = AgreementStatus.AGREED
-    return HierCaseOutcome(
-        seed=seed,
-        status=status,
-        partitions=len(partition_units),
-        interface_passes=interface_passes,
-        sim_passes=sim_passes,
-        conservative=conservative,
+    return RelationOutcome(
+        seed,
+        worst(statuses),
+        f"{len(partition_units)} partition(s)",
+        counts={
+            "partitions": len(partition_units),
+            "interface_passes": interface_passes,
+            "simulation_passes": sim_passes,
+            # interface-fail / simulation-pass splits: the abstraction's
+            # cost, reported but never flagged
+            "conservative": conservative,
+        },
         details=details,
     )
 
 
-def run_hier_campaign(
-    *,
-    seeds: int = 50,
-    base_seed: int = 0,
-    max_window: int = DEFAULT_CAMPAIGN_WINDOW,
-    fault: Optional[str] = None,
-    progress: bool = False,
-) -> HierCampaignReport:
-    """Seeded campaign over the interface ⇒ flattened-simulation
-    relation.  Runs inline: both sides are analytic or small
-    simulations, so a pool buys nothing at smoke scale."""
-    from repro.obs.tracer import current_tracer
-
-    started = time.perf_counter()
-    outcomes: List[HierCaseOutcome] = []
-    with current_tracer().span(
-        "oracle.hier", seeds=seeds, base_seed=base_seed
-    ) as span:
-        for index in range(seeds):
-            outcome = evaluate_hier_case(
-                base_seed + index, max_window=max_window, fault=fault
-            )
-            outcomes.append(outcome)
-            if progress:
-                print(
-                    f"[{index + 1}/{seeds}] seed {outcome.seed}: "
-                    f"{outcome.status.value} "
-                    f"({outcome.interface_passes}/{outcome.partitions} "
-                    f"by interface)",
-                    file=sys.stderr,
-                )
-        span.set(
-            disagreed=sum(
-                1
-                for o in outcomes
-                if o.status is AgreementStatus.DISAGREED
-            )
-        )
-    return HierCampaignReport(
-        outcomes=outcomes,
-        elapsed=time.perf_counter() - started,
-        base_seed=base_seed,
-        fault=fault,
-    )
+RELATION = Relation(
+    name="hier",
+    help="seeded campaign asserting the BDR interface check never "
+    "passes a partition the flattened simulation fails",
+    evaluate=evaluate,
+    params=(
+        Param(
+            "max_window",
+            DEFAULT_CAMPAIGN_WINDOW,
+            "flattened-simulation window cap per partition",
+        ),
+        Param(
+            "fault",
+            None,
+            "inject a known interface-derivation bug into the analytic "
+            "side (harness self-test; see repro.hier.interface.HIER_FAULTS)",
+        ),
+    ),
+    faults=HIER_FAULTS,
+)

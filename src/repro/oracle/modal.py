@@ -16,7 +16,8 @@ asynchronous protocol (the one with actual transient machinery):
   (:func:`repro.modal.transient.simulate_transition` driven directly by
   the oracle).  The converse need not hold -- the modal side may return
   UNSCHEDULABLE or UNKNOWN conservatively -- so a modal-fail /
-  reference-pass split is conservatism, not a bug.
+  reference-pass split is conservatism, not a bug; each transition is
+  classified with :func:`repro.oracle.relations.implies`.
 
 * ``AGREED`` -- steady halves match and no transition is passed
   unsoundly;
@@ -35,13 +36,19 @@ an unsound transient shortcut.
 
 from __future__ import annotations
 
-import sys
-import time
 from typing import List, Optional
 
 import numpy as np
 
-from repro.oracle.verdicts import AgreementStatus
+from repro.modal.transient import MODAL_FAULTS
+from repro.oracle.relations import (
+    DISAGREED,
+    Param,
+    Relation,
+    RelationOutcome,
+    implies,
+    worst,
+)
 from repro.workloads.generators import faulty_modal_system
 
 #: Caps for campaign cases; generator periods are small powers of two,
@@ -50,135 +57,6 @@ DEFAULT_CAMPAIGN_PHASINGS = 512
 DEFAULT_CAMPAIGN_WINDOW = 1 << 15
 
 _ROOT = "FaultyModal.impl"
-
-
-class ModalCaseOutcome:
-    """One seed's modal-vs-reference comparison."""
-
-    __slots__ = (
-        "seed",
-        "status",
-        "modes",
-        "transitions",
-        "modal_passes",
-        "reference_passes",
-        "conservative",
-        "steady_mismatches",
-        "details",
-    )
-
-    def __init__(
-        self,
-        *,
-        seed: int,
-        status: AgreementStatus,
-        modes: int,
-        transitions: int,
-        modal_passes: int,
-        reference_passes: int,
-        conservative: int,
-        steady_mismatches: int,
-        details: List[str],
-    ) -> None:
-        self.seed = seed
-        self.status = status
-        self.modes = modes
-        self.transitions = transitions
-        #: transitions the modal checker called SCHEDULABLE
-        self.modal_passes = modal_passes
-        #: transitions the reference simulation found miss-free
-        self.reference_passes = reference_passes
-        #: modal-fail(/unknown) / reference-pass splits (conservatism)
-        self.conservative = conservative
-        self.steady_mismatches = steady_mismatches
-        self.details = details
-
-    def __repr__(self) -> str:
-        return (
-            f"ModalCaseOutcome(seed={self.seed}, {self.status.value}, "
-            f"{self.transitions} transition(s))"
-        )
-
-
-class ModalCampaignReport:
-    """Aggregate of one modal-agreement campaign."""
-
-    def __init__(
-        self,
-        *,
-        outcomes: List[ModalCaseOutcome],
-        elapsed: float,
-        base_seed: int,
-        fault: Optional[str],
-    ) -> None:
-        self.outcomes = outcomes
-        self.elapsed = elapsed
-        self.base_seed = base_seed
-        self.fault = fault
-
-    @property
-    def disagreements(self) -> List[ModalCaseOutcome]:
-        return [
-            o for o in self.outcomes
-            if o.status is AgreementStatus.DISAGREED
-        ]
-
-    @property
-    def agreed(self) -> List[ModalCaseOutcome]:
-        return [
-            o for o in self.outcomes if o.status is AgreementStatus.AGREED
-        ]
-
-    @property
-    def unknown(self) -> List[ModalCaseOutcome]:
-        return [
-            o for o in self.outcomes
-            if o.status is AgreementStatus.UNKNOWN
-        ]
-
-    @property
-    def conservative(self) -> int:
-        return sum(o.conservative for o in self.outcomes)
-
-    def format(self) -> str:
-        transitions = sum(o.transitions for o in self.outcomes)
-        lines = [
-            "modal campaign"
-            + (f" fault={self.fault}" if self.fault else "")
-            + f": {len(self.outcomes)} case(s), {transitions} "
-            f"transition(s) (base seed {self.base_seed}), "
-            f"{self.elapsed:.1f}s",
-            f"  agreed: {len(self.agreed)}  "
-            f"disagreed: {len(self.disagreements)}  "
-            f"unknown: {len(self.unknown)}",
-            f"  modal passes: "
-            f"{sum(o.modal_passes for o in self.outcomes)}  "
-            f"reference passes: "
-            f"{sum(o.reference_passes for o in self.outcomes)}  "
-            f"conservative (modal-only fails): {self.conservative}",
-        ]
-        for outcome in self.disagreements:
-            for detail in outcome.details:
-                lines.append(f"  DISAGREED seed {outcome.seed}: {detail}")
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return (
-            f"ModalCampaignReport(cases={len(self.outcomes)}, "
-            f"disagreed={len(self.disagreements)})"
-        )
-
-
-def classify_transition(
-    modal_pass: bool, reference_ok: Optional[bool]
-) -> AgreementStatus:
-    """The one-sided modal-pass ⇒ reference-pass relation for one
-    transition."""
-    if modal_pass and reference_ok is None:
-        return AgreementStatus.UNKNOWN
-    if modal_pass and not reference_ok:
-        return AgreementStatus.DISAGREED
-    return AgreementStatus.AGREED
 
 
 def _reference_transition(
@@ -234,13 +112,13 @@ def _reference_transition(
     return True
 
 
-def evaluate_modal_case(
+def evaluate(
     seed: int,
     *,
     max_phasings: int = DEFAULT_CAMPAIGN_PHASINGS,
     max_window: int = DEFAULT_CAMPAIGN_WINDOW,
     fault: Optional[str] = None,
-) -> ModalCaseOutcome:
+) -> RelationOutcome:
     """Draw one fault/recovery modal system from ``seed`` and compare
     the transition-aware analysis against the steady and transient
     references.  Every parameter (mode count, threads, utilizations,
@@ -270,16 +148,19 @@ def evaluate_modal_case(
         fault=fault,
     )
 
-    statuses: List[AgreementStatus] = []
+    statuses = []
     details: List[str] = []
     steady_mismatches = 0
     for mode, outcome in modal.steady.per_mode.items():
         independent = analyze_model(
             instantiate(model, _ROOT, mode_overrides={impl.name: mode})
         )
+        # Strict identity, not ``equal``: both sides run the same
+        # engine at the same budget, so even an UNKNOWN on one side
+        # only is a routing bug.
         if independent.verdict is not outcome.verdict:
             steady_mismatches += 1
-            statuses.append(AgreementStatus.DISAGREED)
+            statuses.append(DISAGREED)
             details.append(
                 f"mode {mode}: modal steady says {outcome.verdict.value}, "
                 f"independent analysis says {independent.verdict.value}"
@@ -299,86 +180,58 @@ def evaluate_modal_case(
             max_phasings=max_phasings,
             max_window=max_window,
         )
-        status = classify_transition(modal_pass, reference_ok)
+        status = implies(modal_pass, reference_ok)
         statuses.append(status)
-        if modal_pass:
-            modal_passes += 1
-        if reference_ok:
-            reference_passes += 1
-        if not modal_pass and reference_ok:
-            conservative += 1
-        if status is AgreementStatus.DISAGREED:
+        modal_passes += modal_pass
+        reference_passes += bool(reference_ok)
+        conservative += not modal_pass and bool(reference_ok)
+        if status is DISAGREED:
             details.append(
                 f"transition {outcome.edge.label}: modal checker passed "
                 f"({outcome.decided_by}) but the exhaustive phasing "
                 f"simulation misses"
             )
 
-    if AgreementStatus.DISAGREED in statuses:
-        status = AgreementStatus.DISAGREED
-    elif AgreementStatus.UNKNOWN in statuses:
-        status = AgreementStatus.UNKNOWN
-    else:
-        status = AgreementStatus.AGREED
-    return ModalCaseOutcome(
-        seed=seed,
-        status=status,
-        modes=len(modal.steady.per_mode),
-        transitions=len(modal.transitions),
-        modal_passes=modal_passes,
-        reference_passes=reference_passes,
-        conservative=conservative,
-        steady_mismatches=steady_mismatches,
+    return RelationOutcome(
+        seed,
+        worst(statuses),
+        f"{len(modal.transitions)} transition(s)",
+        counts={
+            "transitions": len(modal.transitions),
+            "modal_passes": modal_passes,
+            "reference_passes": reference_passes,
+            # modal-fail(/unknown) / reference-pass splits: conservatism
+            "conservative": conservative,
+            "steady_mismatches": steady_mismatches,
+        },
         details=details,
     )
 
 
-def run_modal_campaign(
-    *,
-    seeds: int = 50,
-    base_seed: int = 0,
-    max_phasings: int = DEFAULT_CAMPAIGN_PHASINGS,
-    max_window: int = DEFAULT_CAMPAIGN_WINDOW,
-    fault: Optional[str] = None,
-    progress: bool = False,
-) -> ModalCampaignReport:
-    """Seeded campaign over the modal steady-equivalence and
-    transient-soundness relations.  Runs inline: every case is a small
-    exploration plus short simulations, so a pool buys nothing at
-    smoke scale."""
-    from repro.obs.tracer import current_tracer
-
-    started = time.perf_counter()
-    outcomes: List[ModalCaseOutcome] = []
-    with current_tracer().span(
-        "oracle.modal", seeds=seeds, base_seed=base_seed
-    ) as span:
-        for index in range(seeds):
-            outcome = evaluate_modal_case(
-                base_seed + index,
-                max_phasings=max_phasings,
-                max_window=max_window,
-                fault=fault,
-            )
-            outcomes.append(outcome)
-            if progress:
-                print(
-                    f"[{index + 1}/{seeds}] seed {outcome.seed}: "
-                    f"{outcome.status.value} "
-                    f"({outcome.modal_passes}/{outcome.transitions} "
-                    f"transition(s) passed)",
-                    file=sys.stderr,
-                )
-        span.set(
-            disagreed=sum(
-                1
-                for o in outcomes
-                if o.status is AgreementStatus.DISAGREED
-            )
-        )
-    return ModalCampaignReport(
-        outcomes=outcomes,
-        elapsed=time.perf_counter() - started,
-        base_seed=base_seed,
-        fault=fault,
-    )
+RELATION = Relation(
+    name="modal",
+    help="seeded campaign asserting the modal steady half matches "
+    "independent per-mode analysis and the transient checker "
+    "never passes a transition the exhaustive switch-phasing "
+    "simulation fails",
+    evaluate=evaluate,
+    params=(
+        Param(
+            "max_phasings",
+            DEFAULT_CAMPAIGN_PHASINGS,
+            "switch-phasing cap per transition",
+        ),
+        Param(
+            "max_window",
+            DEFAULT_CAMPAIGN_WINDOW,
+            "transient-simulation window cap per phasing",
+        ),
+        Param(
+            "fault",
+            None,
+            "inject a known transient-checker bug into the modal side "
+            "(harness self-test; see repro.modal.transient.MODAL_FAULTS)",
+        ),
+    ),
+    faults=MODAL_FAULTS,
+)

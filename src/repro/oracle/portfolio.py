@@ -13,7 +13,7 @@ smoke campaign (:data:`repro.oracle.campaign.PROFILES`), so the
 portfolio faces the full generator spread: uniform, harmonic,
 constrained-deadline and offset-bearing sets under RM, DM and EDF.
 Both analyses run at the same exploration budget and the outcome is
-classified UNKNOWN-aware, mirroring :mod:`repro.oracle.compose`:
+classified with :func:`repro.oracle.relations.equal`, like compose:
 
 * ``AGREED`` -- same decided verdict; additionally, an analytic
   UNSCHEDULABLE must carry a *witness* scenario that names at least one
@@ -29,159 +29,17 @@ classified UNKNOWN-aware, mirroring :mod:`repro.oracle.compose`:
 
 from __future__ import annotations
 
-import sys
-import time
-from typing import Dict, List, Optional
-
 from repro.analysis.schedulability import Verdict, analyze_model
 from repro.oracle.campaign import PROFILES, draw_case
-from repro.oracle.compose import classify_agreement
-from repro.oracle.verdicts import AgreementStatus
-
-
-class PortfolioCaseOutcome:
-    """One seed's portfolio-vs-exploration comparison."""
-
-    __slots__ = (
-        "seed",
-        "case_id",
-        "scheduling",
-        "status",
-        "portfolio_verdict",
-        "exploration_verdict",
-        "decided_by",
-        "portfolio_states",
-        "exploration_states",
-        "note",
-    )
-
-    def __init__(
-        self,
-        *,
-        seed: int,
-        case_id: str,
-        scheduling: str,
-        status: AgreementStatus,
-        portfolio_verdict: Verdict,
-        exploration_verdict: Verdict,
-        decided_by: Optional[str],
-        portfolio_states: int,
-        exploration_states: int,
-        note: str = "",
-    ) -> None:
-        self.seed = seed
-        self.case_id = case_id
-        self.scheduling = scheduling
-        self.status = status
-        self.portfolio_verdict = portfolio_verdict
-        self.exploration_verdict = exploration_verdict
-        #: deciding tier name, or "exploration" after escalation
-        self.decided_by = decided_by
-        self.portfolio_states = portfolio_states
-        self.exploration_states = exploration_states
-        self.note = note
-
-    @property
-    def analytic(self) -> bool:
-        """True when an analytic tier decided (no escalation)."""
-        return self.decided_by is not None and (
-            self.decided_by != "exploration"
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"PortfolioCaseOutcome(seed={self.seed}, {self.status.value}, "
-            f"portfolio={self.portfolio_verdict.value} "
-            f"[{self.decided_by}], "
-            f"exploration={self.exploration_verdict.value})"
-        )
-
-
-class PortfolioCampaignReport:
-    """Aggregate of one portfolio-agreement campaign."""
-
-    def __init__(
-        self,
-        *,
-        outcomes: List[PortfolioCaseOutcome],
-        elapsed: float,
-        base_seed: int,
-    ) -> None:
-        self.outcomes = outcomes
-        self.elapsed = elapsed
-        self.base_seed = base_seed
-
-    @property
-    def disagreements(self) -> List[PortfolioCaseOutcome]:
-        return [
-            o for o in self.outcomes
-            if o.status is AgreementStatus.DISAGREED
-        ]
-
-    @property
-    def agreed(self) -> List[PortfolioCaseOutcome]:
-        return [
-            o for o in self.outcomes if o.status is AgreementStatus.AGREED
-        ]
-
-    @property
-    def unknown(self) -> List[PortfolioCaseOutcome]:
-        return [
-            o for o in self.outcomes
-            if o.status is AgreementStatus.UNKNOWN
-        ]
-
-    @property
-    def analytic(self) -> List[PortfolioCaseOutcome]:
-        return [o for o in self.outcomes if o.analytic]
-
-    def tier_histogram(self) -> Dict[str, int]:
-        """How many cases each tier (or the escalation) decided."""
-        histogram: Dict[str, int] = {}
-        for outcome in self.outcomes:
-            key = outcome.decided_by or "?"
-            histogram[key] = histogram.get(key, 0) + 1
-        return histogram
-
-    def format(self) -> str:
-        analytic = self.analytic
-        lines = [
-            f"portfolio campaign: {len(self.outcomes)} case(s) "
-            f"(base seed {self.base_seed}), {self.elapsed:.1f}s",
-            f"  agreed: {len(self.agreed)}  "
-            f"disagreed: {len(self.disagreements)}  "
-            f"unknown: {len(self.unknown)}",
-            f"  analytic: {len(analytic)}, escalated: "
-            f"{len(self.outcomes) - len(analytic)}",
-        ]
-        lines.append("  decided by:")
-        for name, count in sorted(
-            self.tier_histogram().items(), key=lambda kv: (-kv[1], kv[0])
-        ):
-            lines.append(f"    {name}: {count}")
-        if analytic:
-            explored = sum(o.exploration_states for o in analytic)
-            lines.append(
-                f"  states the analytic tiers saved: {explored} "
-                f"(exploration side, over analytic cases)"
-            )
-        for outcome in self.disagreements:
-            note = f" -- {outcome.note}" if outcome.note else ""
-            lines.append(
-                f"  DISAGREED seed {outcome.seed} ({outcome.case_id}, "
-                f"{outcome.scheduling}): portfolio "
-                f"{outcome.portfolio_verdict.value} "
-                f"[{outcome.decided_by}] vs exploration "
-                f"{outcome.exploration_verdict.value}{note}"
-            )
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return (
-            f"PortfolioCampaignReport(cases={len(self.outcomes)}, "
-            f"disagreed={len(self.disagreements)}, "
-            f"analytic={len(self.analytic)})"
-        )
+from repro.oracle.relations import (
+    DISAGREED,
+    MAX_STATES,
+    MAX_STATES_PARAM,
+    UNKNOWN,
+    Relation,
+    RelationOutcome,
+    equal,
+)
 
 
 def _witness_note(result) -> str:
@@ -199,86 +57,55 @@ def _witness_note(result) -> str:
     return ""
 
 
-def evaluate_portfolio_case(
-    seed: int,
-    index: int = 0,
-    *,
-    max_states: int = 150_000,
-) -> PortfolioCaseOutcome:
+def evaluate(seed: int, *, max_states: int = MAX_STATES) -> RelationOutcome:
     """Draw one case and compare the portfolio against pure exploration.
 
     The draw reuses the main oracle's smoke envelope (generator cycling
-    plus seed-derived parameters), so a failing seed reproduces
-    byte-for-byte with ``draw_case(PROFILES["smoke"], seed, index)``.
+    plus seed-derived parameters) with the seed as the case index, so a
+    failing seed reproduces byte-for-byte with
+    ``draw_case(PROFILES["smoke"], seed, seed)`` -- and from the CLI as
+    ``repro oracle portfolio --base-seed <seed> --seeds 1``.
     """
     from repro.portfolio import analyze_portfolio
 
-    case = draw_case(PROFILES["smoke"], seed, index)
+    case = draw_case(PROFILES["smoke"], seed, seed)
     instance = case.system()
     portfolio = analyze_portfolio(instance, max_states=max_states)
     exploration = analyze_model(instance, max_states=max_states)
 
-    status = classify_agreement(
-        exploration.verdict, portfolio.verdict
-    )
+    status = equal(exploration.verdict, portfolio.verdict)
     note = _witness_note(portfolio)
-    if note and status is not AgreementStatus.UNKNOWN:
-        status = AgreementStatus.DISAGREED
-    return PortfolioCaseOutcome(
-        seed=seed,
-        case_id=case.case_id,
-        scheduling=case.scheduling,
-        status=status,
-        portfolio_verdict=portfolio.verdict,
-        exploration_verdict=exploration.verdict,
-        decided_by=portfolio.decided_by,
-        portfolio_states=portfolio.num_states,
-        exploration_states=exploration.num_states,
-        note=note,
+    if note and status is not UNKNOWN:
+        status = DISAGREED
+    decided_by = portfolio.decided_by or "?"
+    analytic = decided_by not in ("?", "exploration")
+    return RelationOutcome(
+        seed,
+        status,
+        case.case_id,
+        counts={
+            "analytic": int(analytic),
+            "escalated": int(not analytic),
+            # Must stay 0: an analytic verdict explores nothing.
+            "analytic_states": portfolio.num_states if analytic else 0,
+            # What exploration paid for the verdicts the tiers gave free.
+            "states_saved": exploration.num_states if analytic else 0,
+            f"decided_by.{decided_by}": 1,
+        },
+        details=[
+            f"{case.scheduling}: portfolio {portfolio.verdict.value} "
+            f"[{decided_by}] vs exploration {exploration.verdict.value}"
+            + (f" -- {note}" if note else "")
+        ]
+        if status is DISAGREED
+        else [],
     )
 
 
-def run_portfolio_campaign(
-    *,
-    seeds: int = 50,
-    base_seed: int = 0,
-    max_states: int = 150_000,
-    progress: bool = False,
-) -> PortfolioCampaignReport:
-    """Seeded campaign over the portfolio ≡ exploration relation.
-
-    Runs inline (no pool): the exploration side dominates each case and
-    the campaign is smoke-sized, so pool-per-case overhead buys nothing.
-    """
-    from repro.obs.tracer import current_tracer
-
-    started = time.perf_counter()
-    outcomes: List[PortfolioCaseOutcome] = []
-    with current_tracer().span(
-        "oracle.portfolio", seeds=seeds, base_seed=base_seed
-    ) as span:
-        for index in range(seeds):
-            outcome = evaluate_portfolio_case(
-                base_seed + index, index, max_states=max_states
-            )
-            outcomes.append(outcome)
-            if progress:
-                print(
-                    f"[{index + 1}/{seeds}] seed {outcome.seed}: "
-                    f"{outcome.status.value} "
-                    f"(decided by {outcome.decided_by})",
-                    file=sys.stderr,
-                )
-        span.set(
-            disagreed=sum(
-                1
-                for o in outcomes
-                if o.status is AgreementStatus.DISAGREED
-            ),
-            analytic=sum(1 for o in outcomes if o.analytic),
-        )
-    return PortfolioCampaignReport(
-        outcomes=outcomes,
-        elapsed=time.perf_counter() - started,
-        base_seed=base_seed,
-    )
+RELATION = Relation(
+    name="portfolio",
+    help="seeded campaign asserting portfolio ≡ pure-exploration "
+    "verdicts (UNKNOWN-aware, witnesses cross-checked)",
+    evaluate=evaluate,
+    params=(MAX_STATES_PARAM,),
+)

@@ -11,7 +11,8 @@ raising.
 Each seeded case draws a replicated multiprocessor system from
 :func:`repro.workloads.generators.replicated_system` (a fraction with
 offset jitter, where symmetry must *not* fire), runs the monolithic
-pipeline with and without reduction, and classifies:
+pipeline with and without reduction, and classifies them with
+:func:`repro.oracle.relations.equal`:
 
 * ``AGREED`` -- same decided verdict;
 * ``UNKNOWN`` -- either side exhausted its budget (reduction changes
@@ -33,163 +34,37 @@ byte-for-byte replayable.
 
 from __future__ import annotations
 
-import sys
-import time
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.analysis.schedulability import Verdict, analyze_model
-from repro.oracle.verdicts import AgreementStatus
+from repro.analysis.schedulability import analyze_model
+from repro.engine.reduce import REDUCTION_FAULTS
+from repro.oracle.relations import (
+    DISAGREED,
+    MAX_STATES,
+    MAX_STATES_PARAM,
+    Param,
+    Relation,
+    RelationOutcome,
+    equal,
+)
 from repro.workloads.generators import replicated_system
 
-#: The spec exercised by default: both passes, as the CLI's bare
-#: ``--reduce`` selects.
-DEFAULT_SPEC = "sym,por"
+#: The passes under test: both, as the CLI's bare ``--reduce`` selects.
+SPEC = "sym,por"
+
+#: Fraction of draws given offset jitter, where symmetry must decline
+#: to fire.
+JITTER_FRACTION = 0.25
 
 
-class ReduceCaseOutcome:
-    """One seed's unreduced-vs-reduced comparison."""
-
-    __slots__ = (
-        "seed",
-        "status",
-        "unreduced_verdict",
-        "reduced_verdict",
-        "unreduced_states",
-        "reduced_states",
-        "orbits_merged",
-        "por_pruned",
-        "jittered",
-    )
-
-    def __init__(
-        self,
-        *,
-        seed: int,
-        status: AgreementStatus,
-        unreduced_verdict: Verdict,
-        reduced_verdict: Verdict,
-        unreduced_states: int,
-        reduced_states: int,
-        orbits_merged: int,
-        por_pruned: int,
-        jittered: bool,
-    ) -> None:
-        self.seed = seed
-        self.status = status
-        self.unreduced_verdict = unreduced_verdict
-        self.reduced_verdict = reduced_verdict
-        self.unreduced_states = unreduced_states
-        self.reduced_states = reduced_states
-        self.orbits_merged = orbits_merged
-        self.por_pruned = por_pruned
-        self.jittered = jittered
-
-    def __repr__(self) -> str:
-        return (
-            f"ReduceCaseOutcome(seed={self.seed}, {self.status.value}, "
-            f"unreduced={self.unreduced_verdict.value}, "
-            f"reduced={self.reduced_verdict.value})"
-        )
-
-
-class ReduceCampaignReport:
-    """Aggregate of one reduction-agreement campaign."""
-
-    def __init__(
-        self,
-        *,
-        outcomes: List[ReduceCaseOutcome],
-        elapsed: float,
-        base_seed: int,
-        spec: str,
-        fault: Optional[str],
-    ) -> None:
-        self.outcomes = outcomes
-        self.elapsed = elapsed
-        self.base_seed = base_seed
-        self.spec = spec
-        self.fault = fault
-
-    @property
-    def disagreements(self) -> List[ReduceCaseOutcome]:
-        return [
-            o for o in self.outcomes
-            if o.status is AgreementStatus.DISAGREED
-        ]
-
-    @property
-    def agreed(self) -> List[ReduceCaseOutcome]:
-        return [
-            o for o in self.outcomes if o.status is AgreementStatus.AGREED
-        ]
-
-    @property
-    def unknown(self) -> List[ReduceCaseOutcome]:
-        return [
-            o for o in self.outcomes
-            if o.status is AgreementStatus.UNKNOWN
-        ]
-
-    @property
-    def orbits_merged(self) -> int:
-        return sum(o.orbits_merged for o in self.outcomes)
-
-    @property
-    def por_pruned(self) -> int:
-        return sum(o.por_pruned for o in self.outcomes)
-
-    def format(self) -> str:
-        lines = [
-            f"reduce campaign [{self.spec}]"
-            + (f" fault={self.fault}" if self.fault else "")
-            + f": {len(self.outcomes)} case(s) "
-            f"(base seed {self.base_seed}), {self.elapsed:.1f}s",
-            f"  agreed: {len(self.agreed)}  "
-            f"disagreed: {len(self.disagreements)}  "
-            f"unknown: {len(self.unknown)}",
-            f"  states: unreduced "
-            f"{sum(o.unreduced_states for o in self.outcomes)}, reduced "
-            f"{sum(o.reduced_states for o in self.outcomes)}",
-            f"  orbits_merged: {self.orbits_merged}  "
-            f"por_pruned: {self.por_pruned}",
-        ]
-        for outcome in self.disagreements:
-            lines.append(
-                f"  DISAGREED seed {outcome.seed}: unreduced "
-                f"{outcome.unreduced_verdict.value} vs reduced "
-                f"{outcome.reduced_verdict.value}"
-                + (" (jittered)" if outcome.jittered else "")
-            )
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return (
-            f"ReduceCampaignReport(cases={len(self.outcomes)}, "
-            f"disagreed={len(self.disagreements)})"
-        )
-
-
-def classify_reduction_agreement(
-    unreduced: Verdict, reduced: Verdict
-) -> AgreementStatus:
-    """The reduced ≡ unreduced relation, UNKNOWN-aware."""
-    if Verdict.UNKNOWN in (unreduced, reduced):
-        return AgreementStatus.UNKNOWN
-    if unreduced is reduced:
-        return AgreementStatus.AGREED
-    return AgreementStatus.DISAGREED
-
-
-def evaluate_reduce_case(
+def evaluate(
     seed: int,
     *,
-    max_states: int = 150_000,
-    spec: str = DEFAULT_SPEC,
+    max_states: int = MAX_STATES,
     fault: Optional[str] = None,
-    jitter_fraction: float = 0.25,
-) -> ReduceCaseOutcome:
+) -> RelationOutcome:
     """Draw one replicated system from ``seed`` and compare reduced vs
     unreduced exploration.  Every parameter (replica count, threads per
     replica, utilization, offset jitter) derives from the seed, so a
@@ -198,7 +73,7 @@ def evaluate_reduce_case(
     n_replicas = int(rng.integers(2, 5))
     threads_per_replica = int(rng.integers(1, 3))
     utilization = float(rng.uniform(0.3, 1.15))
-    jittered = bool(rng.random() < jitter_fraction)
+    jittered = bool(rng.random() < JITTER_FRACTION)
     instance = replicated_system(
         n_replicas,
         threads_per_replica,
@@ -210,76 +85,44 @@ def evaluate_reduce_case(
     reduced = analyze_model(
         instance,
         max_states=max_states,
-        reduction=spec,
+        reduction=SPEC,
         reduction_fault=fault,
     )
     stats = reduced.exploration.stats
-    return ReduceCaseOutcome(
-        seed=seed,
-        status=classify_reduction_agreement(
-            unreduced.verdict, reduced.verdict
+    status = equal(unreduced.verdict, reduced.verdict)
+    return RelationOutcome(
+        seed,
+        status,
+        "jittered" if jittered else "symmetric",
+        counts={
+            "unreduced_states": unreduced.num_states,
+            "reduced_states": reduced.num_states,
+            "orbits_merged": stats.orbits_merged if stats is not None else 0,
+            "por_pruned": stats.por_pruned if stats is not None else 0,
+        },
+        details=[
+            f"unreduced {unreduced.verdict.value} vs reduced "
+            f"{reduced.verdict.value}"
+        ]
+        if status is DISAGREED
+        else [],
+    )
+
+
+RELATION = Relation(
+    name="reduce",
+    help="seeded campaign asserting reduced ≡ unreduced verdicts "
+    "on replicated workloads (UNKNOWN-aware)",
+    evaluate=evaluate,
+    params=(
+        MAX_STATES_PARAM,
+        Param(
+            "fault",
+            None,
+            "inject a known reduction bug into the reduced side "
+            "(harness self-test; see repro.engine.reduce.REDUCTION_FAULTS)",
         ),
-        unreduced_verdict=unreduced.verdict,
-        reduced_verdict=reduced.verdict,
-        unreduced_states=unreduced.num_states,
-        reduced_states=reduced.num_states,
-        orbits_merged=stats.orbits_merged if stats is not None else 0,
-        por_pruned=stats.por_pruned if stats is not None else 0,
-        jittered=jittered,
-    )
-
-
-def run_reduce_campaign(
-    *,
-    seeds: int = 50,
-    base_seed: int = 0,
-    max_states: int = 150_000,
-    spec: str = DEFAULT_SPEC,
-    fault: Optional[str] = None,
-    jitter_fraction: float = 0.25,
-    progress: bool = False,
-) -> ReduceCampaignReport:
-    """Seeded campaign over the reduced ≡ unreduced relation.
-
-    Runs inline (no pool): each case already explores the same model
-    twice, and the unreduced side dominates, so pool-per-case overhead
-    buys nothing at smoke scale.
-    """
-    from repro.obs.tracer import current_tracer
-
-    started = time.perf_counter()
-    outcomes: List[ReduceCaseOutcome] = []
-    with current_tracer().span(
-        "oracle.reduce", seeds=seeds, base_seed=base_seed
-    ) as span:
-        for index in range(seeds):
-            outcome = evaluate_reduce_case(
-                base_seed + index,
-                max_states=max_states,
-                spec=spec,
-                fault=fault,
-                jitter_fraction=jitter_fraction,
-            )
-            outcomes.append(outcome)
-            if progress:
-                print(
-                    f"[{index + 1}/{seeds}] seed {outcome.seed}: "
-                    f"{outcome.status.value} "
-                    f"({outcome.unreduced_states} -> "
-                    f"{outcome.reduced_states} states)",
-                    file=sys.stderr,
-                )
-        span.set(
-            disagreed=sum(
-                1
-                for o in outcomes
-                if o.status is AgreementStatus.DISAGREED
-            )
-        )
-    return ReduceCampaignReport(
-        outcomes=outcomes,
-        elapsed=time.perf_counter() - started,
-        base_seed=base_seed,
-        spec=spec,
-        fault=fault,
-    )
+    ),
+    faults=REDUCTION_FAULTS,
+    header=f"[{SPEC}]",
+)

@@ -6,69 +6,60 @@ from repro.aadl import format_model
 from repro.aadl.gallery import coupled_islands, dual_island
 from repro.analysis import Verdict
 from repro.cli import main
-from repro.oracle import (
-    AgreementStatus,
-    evaluate_compose_case,
-    run_compose_campaign,
-)
-from repro.oracle.compose import classify_agreement
+from repro.oracle import run_relation
+from repro.oracle.compose import evaluate, equal
+from repro.oracle.verdicts import AgreementStatus
+
+AGREED = AgreementStatus.AGREED
+DISAGREED = AgreementStatus.DISAGREED
+UNKNOWN = AgreementStatus.UNKNOWN
 
 
 class TestAgreementRelation:
+    """The compose oracle classifies with the UNKNOWN-aware equality."""
+
     def test_equal_decided_verdicts_agree(self):
+        assert equal(Verdict.SCHEDULABLE, Verdict.SCHEDULABLE) is AGREED
         assert (
-            classify_agreement(Verdict.SCHEDULABLE, Verdict.SCHEDULABLE)
-            is AgreementStatus.AGREED
-        )
-        assert (
-            classify_agreement(
-                Verdict.UNSCHEDULABLE, Verdict.UNSCHEDULABLE
-            )
-            is AgreementStatus.AGREED
+            equal(Verdict.UNSCHEDULABLE, Verdict.UNSCHEDULABLE) is AGREED
         )
 
     def test_decided_mismatch_disagrees(self):
         assert (
-            classify_agreement(Verdict.SCHEDULABLE, Verdict.UNSCHEDULABLE)
-            is AgreementStatus.DISAGREED
+            equal(Verdict.SCHEDULABLE, Verdict.UNSCHEDULABLE) is DISAGREED
         )
 
     def test_unknown_is_not_a_disagreement(self):
         """An island can decide what the larger monolithic space cannot
         (or vice versa); budget exhaustion is not unsoundness."""
-        assert (
-            classify_agreement(Verdict.UNKNOWN, Verdict.SCHEDULABLE)
-            is AgreementStatus.UNKNOWN
-        )
-        assert (
-            classify_agreement(Verdict.UNSCHEDULABLE, Verdict.UNKNOWN)
-            is AgreementStatus.UNKNOWN
-        )
+        assert equal(Verdict.UNKNOWN, Verdict.SCHEDULABLE) is UNKNOWN
+        assert equal(Verdict.UNSCHEDULABLE, Verdict.UNKNOWN) is UNKNOWN
 
 
 class TestComposeCampaign:
     def test_case_is_seed_reproducible(self):
-        first = evaluate_compose_case(7)
-        second = evaluate_compose_case(7)
+        first = evaluate(7)
+        second = evaluate(7)
         assert first.status is second.status
-        assert first.monolithic_verdict is second.monolithic_verdict
-        assert first.compositional_states == second.compositional_states
+        assert first.label == second.label
+        assert first.counts == second.counts
 
     def test_small_campaign_agrees(self):
-        report = run_compose_campaign(seeds=8, base_seed=0)
+        report = run_relation("compose", seeds=8, base_seed=0)
         assert len(report.outcomes) == 8
         assert report.disagreements == []
         # The draw must exercise both paths at these seeds.
-        modes = {o.mode for o in report.outcomes}
+        modes = {o.label for o in report.outcomes}
         assert "compositional" in modes
         assert "monolithic-fallback" in modes
 
     def test_report_format(self):
-        report = run_compose_campaign(seeds=4, base_seed=0)
+        report = run_relation("compose", seeds=4, base_seed=0)
         text = report.format()
         assert "4 case(s)" in text
         assert "disagreed: 0" in text
-        assert "states over decomposed cases" in text
+        assert "island_states:" in text
+        assert "monolithic_states:" in text
 
 
 @pytest.fixture()

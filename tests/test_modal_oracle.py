@@ -1,36 +1,34 @@
 """The modal oracle campaign: modal transition pass ⇒ honest
-reference simulation pass (plus steady-half equivalence), and the
-``shrink-transient-window`` fault self-test that proves the campaign
-would catch an unsound transient shortcut."""
+reference simulation pass (plus steady-half equivalence).  The
+``shrink-transient-window`` fault self-test, which proves the campaign
+would catch an unsound transient shortcut, runs with every registered
+fault in ``test_relations.py``."""
 
 import numpy as np
-import pytest
 
 from repro.cli import main
-from repro.oracle import evaluate_modal_case, run_modal_campaign
-from repro.oracle.modal import classify_transition
+from repro.oracle import run_relation
+from repro.oracle.modal import evaluate, implies
 from repro.oracle.verdicts import AgreementStatus
 from repro.workloads import faulty_modal_system
 
 
 class TestClassification:
+    """modal pass ⇒ reference pass, via the one-sided ``implies``."""
+
     def test_modal_pass_reference_fail_is_the_bug_signal(self):
-        assert (
-            classify_transition(True, False) is AgreementStatus.DISAGREED
-        )
+        assert implies(True, False) is AgreementStatus.DISAGREED
 
     def test_conservatism_is_agreement(self):
         """The relation is one-sided: the modal side may refuse or fail
         a transition the reference passes without being wrong."""
-        assert classify_transition(False, True) is AgreementStatus.AGREED
-        assert classify_transition(True, True) is AgreementStatus.AGREED
-        assert (
-            classify_transition(False, False) is AgreementStatus.AGREED
-        )
-        assert classify_transition(False, None) is AgreementStatus.AGREED
+        assert implies(False, True) is AgreementStatus.AGREED
+        assert implies(True, True) is AgreementStatus.AGREED
+        assert implies(False, False) is AgreementStatus.AGREED
+        assert implies(False, None) is AgreementStatus.AGREED
 
     def test_capped_reference_is_unknown(self):
-        assert classify_transition(True, None) is AgreementStatus.UNKNOWN
+        assert implies(True, None) is AgreementStatus.UNKNOWN
 
 
 class TestGenerator:
@@ -58,31 +56,19 @@ class TestGenerator:
         assert automaton.unreachable_modes() == ("maintenance",)
 
     def test_seeded_case_reproduces(self):
-        a = evaluate_modal_case(7)
-        b = evaluate_modal_case(7)
+        a = evaluate(7)
+        b = evaluate(7)
         assert a.status is b.status
-        assert (a.modes, a.transitions, a.modal_passes) == (
-            b.modes, b.transitions, b.modal_passes,
-        )
+        assert a.counts == b.counts
 
 
 class TestCampaign:
     def test_small_campaign_agrees(self):
-        report = run_modal_campaign(seeds=12)
+        report = run_relation("modal", seeds=12)
         assert not report.disagreements, report.format()
         # The draw must exercise the non-vacuous side of the relation:
         # some transition actually passed by the modal checker.
-        assert sum(o.modal_passes for o in report.outcomes) > 0
-
-    def test_shrink_window_fault_is_caught(self):
-        report = run_modal_campaign(
-            seeds=12, fault="shrink-transient-window"
-        )
-        assert report.disagreements, (
-            "the shrink-transient-window fault must produce at least "
-            "one modal-pass / reference-miss split"
-        )
-        assert "DISAGREED" in report.format()
+        assert report.counts["modal_passes"] > 0
 
     def test_cli_exit_codes(self):
         assert main(["oracle", "modal", "--seeds", "5"]) == 0

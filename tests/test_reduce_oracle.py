@@ -1,90 +1,59 @@
 """The reduced ≡ unreduced oracle relation and its CLI command."""
 
-import pytest
-
 from repro.analysis import Verdict
 from repro.cli import main
-from repro.oracle import (
-    AgreementStatus,
-    evaluate_reduce_case,
-    run_reduce_campaign,
-)
-from repro.oracle.reduce import classify_reduction_agreement
+from repro.oracle import run_relation
+from repro.oracle.reduce import evaluate, equal
+from repro.oracle.verdicts import AgreementStatus
+
+AGREED = AgreementStatus.AGREED
+DISAGREED = AgreementStatus.DISAGREED
+UNKNOWN = AgreementStatus.UNKNOWN
 
 
 class TestAgreementRelation:
+    """The reduce oracle classifies with the UNKNOWN-aware equality."""
+
     def test_equal_decided_verdicts_agree(self):
+        assert equal(Verdict.SCHEDULABLE, Verdict.SCHEDULABLE) is AGREED
         assert (
-            classify_reduction_agreement(
-                Verdict.SCHEDULABLE, Verdict.SCHEDULABLE
-            )
-            is AgreementStatus.AGREED
-        )
-        assert (
-            classify_reduction_agreement(
-                Verdict.UNSCHEDULABLE, Verdict.UNSCHEDULABLE
-            )
-            is AgreementStatus.AGREED
+            equal(Verdict.UNSCHEDULABLE, Verdict.UNSCHEDULABLE) is AGREED
         )
 
     def test_decided_mismatch_disagrees(self):
         assert (
-            classify_reduction_agreement(
-                Verdict.SCHEDULABLE, Verdict.UNSCHEDULABLE
-            )
-            is AgreementStatus.DISAGREED
+            equal(Verdict.SCHEDULABLE, Verdict.UNSCHEDULABLE) is DISAGREED
         )
 
     def test_unknown_is_not_a_disagreement(self):
         """Reduction changes which prefix a truncated run covers, so a
         budget-bound UNKNOWN on either side is never unsoundness."""
-        assert (
-            classify_reduction_agreement(
-                Verdict.UNKNOWN, Verdict.SCHEDULABLE
-            )
-            is AgreementStatus.UNKNOWN
-        )
-        assert (
-            classify_reduction_agreement(
-                Verdict.UNSCHEDULABLE, Verdict.UNKNOWN
-            )
-            is AgreementStatus.UNKNOWN
-        )
+        assert equal(Verdict.UNKNOWN, Verdict.SCHEDULABLE) is UNKNOWN
+        assert equal(Verdict.UNSCHEDULABLE, Verdict.UNKNOWN) is UNKNOWN
 
 
 class TestReduceCampaign:
     def test_case_is_seed_reproducible(self):
-        first = evaluate_reduce_case(11)
-        second = evaluate_reduce_case(11)
+        first = evaluate(11)
+        second = evaluate(11)
         assert first.status is second.status
-        assert first.unreduced_verdict is second.unreduced_verdict
-        assert first.reduced_states == second.reduced_states
-        assert first.jittered == second.jittered
+        assert first.label == second.label  # jittered or symmetric
+        assert first.counts == second.counts
 
     def test_small_campaign_agrees_and_reduces(self):
-        report = run_reduce_campaign(seeds=8, base_seed=100)
+        report = run_relation("reduce", seeds=8, base_seed=100)
         assert len(report.outcomes) == 8
         assert report.disagreements == []
         # The passes must actually fire somewhere in the campaign.
-        assert report.orbits_merged > 0
-        assert report.por_pruned > 0
+        assert report.counts["orbits_merged"] > 0
+        assert report.counts["por_pruned"] > 0
         # The draw must include both symmetric and jittered systems.
-        assert {o.jittered for o in report.outcomes} == {True, False}
-
-    def test_overeager_fault_is_caught(self):
-        """The oracle's self-test: an unsound symmetry pass (pairs
-        replicas without verifying their definitions match) must
-        disagree on some seed of the same small campaign."""
-        report = run_reduce_campaign(
-            seeds=8, base_seed=100, fault="overeager-sym"
-        )
-        assert report.disagreements, (
-            "the reduction oracle failed to catch a deliberately "
-            "unsound symmetry pass"
-        )
+        assert {o.label for o in report.outcomes} == {
+            "jittered", "symmetric",
+        }
 
     def test_report_format(self):
-        report = run_reduce_campaign(seeds=4, base_seed=100)
+        report = run_relation("reduce", seeds=4, base_seed=100)
         text = report.format()
         assert "reduce campaign [sym,por]: 4 case(s)" in text
         assert "disagreed: 0" in text

@@ -1,0 +1,174 @@
+"""The relation-generic oracle runner: classifiers, registry, report,
+CLI wiring, and the fault self-test every registered fault must pass."""
+
+import pytest
+
+from repro.analysis import Verdict
+from repro.cli import build_parser, main
+from repro.obs.tracer import Tracer, activate
+from repro.oracle import RELATIONS, run_relation
+from repro.oracle.relations import equal, implies, worst
+from repro.oracle.verdicts import AgreementStatus
+
+S, U, N = Verdict.SCHEDULABLE, Verdict.UNSCHEDULABLE, Verdict.UNKNOWN
+AGREED = AgreementStatus.AGREED
+DISAGREED = AgreementStatus.DISAGREED
+UNKNOWN = AgreementStatus.UNKNOWN
+
+
+class TestClassifiers:
+    @pytest.mark.parametrize(
+        "classify, a, b, expected",
+        [
+            pytest.param(equal, S, S, AGREED, id="equal-both-schedulable"),
+            pytest.param(
+                equal, U, U, AGREED, id="equal-both-unschedulable"
+            ),
+            pytest.param(
+                equal, S, U, DISAGREED, id="equal-decided-mismatch"
+            ),
+            # Budget exhaustion is not unsoundness: an island (or a
+            # reduced space) can decide what the other side cannot.
+            pytest.param(equal, N, S, UNKNOWN, id="equal-unknown-first"),
+            pytest.param(equal, U, N, UNKNOWN, id="equal-unknown-second"),
+            # The bug signal: the side under test passed, the reference
+            # fails.
+            pytest.param(
+                implies, True, False, DISAGREED, id="implies-pass-fail"
+            ),
+            # Conservatism is agreement: the side under test may refuse
+            # what the reference passes.
+            pytest.param(
+                implies, False, True, AGREED, id="implies-fail-pass"
+            ),
+            pytest.param(
+                implies, True, True, AGREED, id="implies-pass-pass"
+            ),
+            pytest.param(
+                implies, False, False, AGREED, id="implies-fail-fail"
+            ),
+            # A capped reference cannot confirm a pass.
+            pytest.param(
+                implies, True, None, UNKNOWN, id="implies-pass-abstain"
+            ),
+            # A failed antecedent cannot witness unsoundness, so the
+            # reference abstaining changes nothing.
+            pytest.param(
+                implies, False, None, AGREED, id="implies-fail-abstain"
+            ),
+        ],
+    )
+    def test_table(self, classify, a, b, expected):
+        assert classify(a, b) is expected
+
+    @pytest.mark.parametrize(
+        "statuses, expected",
+        [
+            ([], AGREED),
+            ([AGREED, AGREED], AGREED),
+            ([AGREED, UNKNOWN], UNKNOWN),
+            ([UNKNOWN, DISAGREED, AGREED], DISAGREED),
+        ],
+    )
+    def test_worst(self, statuses, expected):
+        assert worst(statuses) is expected
+
+
+#: The pinned seed window on which each registered fault must DISAGREE.
+#: A fault registered without a window fails the self-test below.
+FAULT_WINDOWS = {
+    ("reduce", "overeager-sym"): dict(seeds=8, base_seed=100),
+    ("hier", "inflate-alpha"): dict(seeds=50),
+    ("modal", "shrink-transient-window"): dict(seeds=12),
+}
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [(r.name, f) for r in RELATIONS.values() for f in r.faults],
+)
+def test_fault_is_caught(name, fault):
+    """The harness self-test: a registered fault injected into the side
+    under test must produce at least one DISAGREED case."""
+    window = FAULT_WINDOWS.get((name, fault))
+    assert window is not None, (
+        f"fault {fault!r} of relation {name!r} has no pinned seed window"
+    )
+    report = run_relation(name, fault=fault, **window)
+    assert report.disagreements, (
+        f"the {name} oracle failed to catch the {fault!r} fault"
+    )
+    assert "DISAGREED" in report.format()
+
+
+class TestRegistry:
+    def test_relations_in_cli_order(self):
+        assert list(RELATIONS) == [
+            "compose", "reduce", "hier", "modal", "portfolio",
+        ]
+
+    def test_cli_flags_follow_the_records(self):
+        """Each verb takes the shared flags plus its record's parameters,
+        with the record's defaults."""
+        parser = build_parser()
+        for relation in RELATIONS.values():
+            args = parser.parse_args(
+                ["oracle", relation.name, "--seeds", "3",
+                 "--base-seed", "7", "--progress"]
+            )
+            assert (args.seeds, args.base_seed, args.progress) == (
+                3, 7, True,
+            )
+            for param in relation.params:
+                assert getattr(args, param.name) == param.default
+            assert ("fault" in vars(args)) == bool(relation.faults)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compose", "--coupled-fraction", "0.5"],
+            ["reduce", "--jitter-fraction", "0.5"],
+            ["reduce", "--spec", "sym"],
+        ],
+    )
+    def test_single_value_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["oracle", *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name", [r.name for r in RELATIONS.values() if r.faults]
+    )
+    def test_unknown_fault_is_a_usage_error(self, name, capsys):
+        assert (
+            main(["oracle", name, "--seeds", "1", "--fault", "no-such"])
+            == 2
+        )
+        err = capsys.readouterr().err
+        assert "unknown" in err and "fault 'no-such'" in err
+
+
+class TestRunner:
+    def test_counters_are_summed_onto_report_and_span(self):
+        tracer = Tracer()
+        with activate(tracer):
+            report = run_relation("hier", seeds=4)
+        partitions = report.counts["partitions"]
+        assert partitions == sum(
+            o.counts["partitions"] for o in report.outcomes
+        )
+        assert report.format().startswith(
+            "hier campaign: 4 case(s) (base seed 0)"
+        )
+        assert f"  partitions: {partitions}" in report.format()
+        (span,) = [s for s in tracer.spans if s.name == "oracle.hier"]
+        assert span.attrs["seeds"] == 4
+        assert span.attrs["disagreed"] == 0
+        assert span.attrs["partitions"] == partitions
+
+    def test_progress_reports_each_case(self, capsys):
+        run_relation("hier", seeds=2, base_seed=4, progress=True)
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("[1/2] seed 4: agreed (")
+        assert err[1].startswith("[2/2] seed 5: ")
