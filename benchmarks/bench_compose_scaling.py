@@ -56,7 +56,7 @@ def test_gallery_dual_island_sum_beats_product(benchmark):
 
     assert composed.compositional
     assert composed.verdict is monolithic.verdict
-    assert composed.total_states < monolithic.num_states
+    assert composed.num_states < monolithic.num_states
 
     print_table(
         "dual_island (2 processors): monolithic vs compositional",
@@ -65,7 +65,7 @@ def test_gallery_dual_island_sum_beats_product(benchmark):
             ("monolithic", monolithic.verdict.value,
              monolithic.num_states),
             ("compositional (sum)", composed.verdict.value,
-             composed.total_states),
+             composed.num_states),
         ]
         + [
             (f"  {o.island.label}", o.verdict.value, o.states)
@@ -89,14 +89,14 @@ def test_island_count_sweep():
         # multiprocessor_system adds an unconnected sink processor, so
         # even n_islands=1 yields two islands and a real decomposition.
         assert len(composed.outcomes) == n_islands + 1
-        assert composed.total_states < monolithic.num_states
-        gaps.append(monolithic.num_states / max(composed.total_states, 1))
+        assert composed.num_states < monolithic.num_states
+        gaps.append(monolithic.num_states / max(composed.num_states, 1))
         rows.append(
             (
                 n_islands + 1,
                 monolithic.verdict.value,
                 monolithic.num_states,
-                composed.total_states,
+                composed.num_states,
                 f"{gaps[-1]:.1f}x",
             )
         )

@@ -108,7 +108,7 @@ def test_interface_beats_island_exploration(benchmark, n_partitions):
             (
                 "island exploration",
                 island.verdict.value,
-                island.total_states,
+                island.num_states,
                 f"{island_elapsed:.4f}",
             ),
         ],

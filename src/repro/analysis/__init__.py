@@ -17,15 +17,18 @@ from repro.analysis.timeline import render_timeline
 from repro.analysis.latency import FlowSpec, check_latency
 from repro.analysis.modes import ModalAnalysisResult, analyze_all_modes
 from repro.analysis.report import ComparisonRow, compare_with_baselines
+from repro.analysis.request import AnalysisRequest, analyze
 
 __all__ = [
     "AadlScenario",
+    "AnalysisRequest",
     "AnalysisResult",
     "ComparisonRow",
     "FlowSpec",
     "ModalAnalysisResult",
     "ScenarioEvent",
     "Verdict",
+    "analyze",
     "analyze_all_modes",
     "analyze_model",
     "check_latency",

@@ -14,13 +14,14 @@ Two precision rules sharpen the approximation:
   declare no transitions keep the historical reading: every mode is a
   possible externally-chosen configuration).  Skipped modes are
   reported as ``unreachable_modes``.
-* each steady mode may reuse the whole analysis stack: the tiered
-  portfolio (``portfolio=True``, with the multi-modal applicability
-  bar waived per mode -- see
+* each steady mode is one pinned-mode
+  :class:`~repro.analysis.request.AnalysisRequest` run through the batch
+  pool, so it reuses the whole analysis stack: the tiered portfolio
+  (with the multi-modal applicability bar waived per mode -- see
   :func:`repro.portfolio.context.build_context`), state-space
-  reduction, and the batch pool with persistent verdict caching
-  (``workers`` / ``cache``), where every mode becomes one job whose
-  cache key carries the mode name.
+  reduction, the compose or hier decomposition, and persistent verdict
+  caching (``workers`` / ``cache``) under a key that carries the mode
+  name.
 
 Transition *transients* are the business of :mod:`repro.modal`, which
 builds on this module for its steady half.
@@ -28,78 +29,44 @@ builds on this module for its steady half.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import dataclasses
+from typing import Any, Dict, List, Optional
 
 from repro.errors import AnalysisError
 from repro.aadl.components import DeclarativeModel
-from repro.aadl.instance import instantiate
 from repro.aadl.properties import TimeValue
-from repro.analysis.schedulability import AnalysisResult, Verdict, analyze_model
+from repro.analysis.schedulability import Verdict
 
 
+@dataclasses.dataclass
 class ModeOutcome:
-    """One steady mode's verdict, from either an inline analysis or a
-    pool :class:`~repro.batch.jobs.JobResult` (which carries no live
-    scenario object -- ``scenario`` is then None and ``rendered`` holds
-    the worker's formatted report instead)."""
+    """One steady mode's verdict, from the mode's batch
+    :class:`~repro.batch.jobs.JobResult`.  A job that ran in this
+    process keeps its live result, so ``scenario`` and ``decided_by``
+    are set; a pooled or cached one carries only the worker's formatted
+    report in ``rendered``."""
 
-    __slots__ = (
-        "mode",
-        "verdict",
-        "num_states",
-        "scenario",
-        "decided_by",
-        "stats",
-        "cached",
-        "rendered",
-    )
-
-    def __init__(
-        self,
-        *,
-        mode: str,
-        verdict: Verdict,
-        num_states: int = 0,
-        scenario=None,
-        decided_by: Optional[str] = None,
-        stats=None,
-        cached: bool = False,
-        rendered: Optional[str] = None,
-    ) -> None:
-        self.mode = mode
-        self.verdict = verdict
-        self.num_states = num_states
-        self.scenario = scenario
-        self.decided_by = decided_by
-        self.stats = stats
-        self.cached = cached
-        self.rendered = rendered
-
-    @classmethod
-    def from_analysis(cls, mode: str, result: AnalysisResult) -> "ModeOutcome":
-        exploration = getattr(result, "exploration", None)
-        return cls(
-            mode=mode,
-            verdict=result.verdict,
-            num_states=result.num_states,
-            scenario=result.scenario,
-            decided_by=getattr(result, "decided_by", None),
-            stats=getattr(exploration, "stats", None),
-        )
+    mode: str
+    verdict: Verdict
+    num_states: int = 0
+    scenario: Any = None
+    decided_by: Optional[str] = None
+    stats: Any = None
+    cached: bool = False
+    rendered: Optional[str] = None
 
     @classmethod
     def from_job(cls, mode: str, result) -> "ModeOutcome":
         from repro.engine.stats import EngineStats
 
         if result.verdict == "error":
-            raise AnalysisError(
-                f"mode {mode}: batch analysis failed: {result.error}"
-            )
+            raise AnalysisError(f"mode {mode}: {result.error}")
         return cls(
             mode=mode,
             verdict=Verdict(result.verdict),
             num_states=result.states,
-            decided_by=None,
+            scenario=getattr(result.analysis, "scenario", None),
+            decided_by=getattr(result.analysis, "decided_by", None),
             stats=(
                 EngineStats.from_dict(result.stats)
                 if result.stats is not None
@@ -140,6 +107,10 @@ class ModalAnalysisResult:
         return Verdict.SCHEDULABLE
 
     @property
+    def num_states(self) -> int:
+        return sum(o.num_states for o in self.per_mode.values())
+
+    @property
     def failing_modes(self) -> List[str]:
         return [
             mode
@@ -147,7 +118,7 @@ class ModalAnalysisResult:
             if result.verdict is Verdict.UNSCHEDULABLE
         ]
 
-    def format(self) -> str:
+    def format(self, *, show_stats: bool = False) -> str:
         lines = [f"overall: {self.verdict.value}"]
         for mode, result in self.per_mode.items():
             cached = " [cached]" if result.cached else ""
@@ -165,6 +136,14 @@ class ModalAnalysisResult:
             if scenario is not None:
                 lines.append(f"  failing scenario in mode {mode}:")
                 lines.append(scenario.format())
+        if show_stats:
+            from repro.engine.stats import EngineStats
+
+            stats = EngineStats.aggregate(
+                o.stats for o in self.per_mode.values()
+            )
+            lines.append("  engine stats:")
+            lines.extend(f"    {line}" for line in stats.format().splitlines())
         return "\n".join(lines)
 
     def __repr__(self) -> str:
@@ -186,21 +165,29 @@ def analyze_all_modes(
     workers: Optional[int] = None,
     cache=None,
     progress=None,
+    decomposition: Optional[str] = None,
+    max_window: Optional[int] = None,
+    fault: Optional[str] = None,
 ) -> ModalAnalysisResult:
     """Analyze every reachable mode of ``root_impl`` as a separate
     bound system.
 
-    ``portfolio`` routes each mode through the tiered verdict portfolio
-    (``tiers`` optionally naming the chain), ``reduction`` applies a
-    reduction-spec token on exploration, and setting ``workers`` and/or
-    ``cache`` fans the modes out through the batch pool as one job per
-    mode with persistent, mode-keyed verdict caching.  Raises
-    :class:`AnalysisError` when the root implementation declares no
-    modes (use :func:`~repro.analysis.schedulability.analyze_model`
-    directly in that case).
+    Each mode is one pinned-mode :class:`~repro.analysis.request.
+    AnalysisRequest` -- ``portfolio`` (``tiers`` optionally naming the
+    chain), ``reduction``, ``decomposition`` (``"compose"`` or
+    ``"hier"``), ``max_window`` and ``fault`` ride in it -- and one
+    :func:`repro.batch.run_batch` job.  With ``workers`` and ``cache``
+    both None the jobs run inline, on ``model`` itself; otherwise they
+    fan out through the pool, with persistent, mode-keyed verdict
+    caching.  Raises :class:`AnalysisError` when the root implementation
+    declares no modes (use
+    :func:`~repro.analysis.schedulability.analyze_model` directly in
+    that case).
     """
+    from repro.aadl.printer import format_model
+    from repro.analysis.request import DEFAULT_TIERS, AnalysisRequest
+    from repro.batch import AnalysisJob, run_batch
     from repro.modal.automaton import ModeAutomaton
-    from repro.obs.tracer import current_tracer
 
     impl = model.implementation(root_impl)
     if not impl.modes:
@@ -210,107 +197,34 @@ def analyze_all_modes(
     automaton = ModeAutomaton.from_implementation(model, impl)
     reachable = {m.lower() for m in automaton.reachable_modes()}
     modes = [m for m in automaton.modes if m.lower() in reachable]
-
-    if workers is not None or cache is not None:
-        per_mode = _pooled_modes(
-            model,
-            impl,
-            modes,
-            quantum=quantum,
-            max_states=max_states,
-            portfolio=portfolio,
-            tiers=tiers,
-            reduction=reduction,
-            workers=workers,
-            cache=cache,
-            progress=progress,
-        )
-        return ModalAnalysisResult(per_mode, automaton.unreachable_modes())
-
-    tracer = current_tracer()
-    results: Dict[str, ModeOutcome] = {}
-    for mode in modes:
-        with tracer.span("modal.steady", mode=mode) as span:
-            instance = instantiate(
-                model, root_impl, mode_overrides={impl.name: mode}
-            )
-            if portfolio:
-                from repro.portfolio import (
-                    PortfolioAnalyzer,
-                    analyze_portfolio,
-                )
-                from repro.portfolio.tiers import tiers_from_token
-
-                result = analyze_portfolio(
-                    instance,
-                    quantum=quantum,
-                    max_states=max_states,
-                    analyzer=PortfolioAnalyzer(tiers_from_token(tiers)),
-                    reduction=reduction,
-                    steady_mode=True,
-                )
-            else:
-                result = analyze_model(
-                    instance,
-                    quantum=quantum,
-                    max_states=max_states,
-                    reduction=reduction,
-                )
-            span.set(verdict=result.verdict.value)
-        results[mode] = ModeOutcome.from_analysis(mode, result)
-    return ModalAnalysisResult(results, automaton.unreachable_modes())
-
-
-def _pooled_modes(
-    model,
-    impl,
-    modes,
-    *,
-    quantum,
-    max_states,
-    portfolio,
-    tiers,
-    reduction,
-    workers,
-    cache,
-    progress,
-) -> Dict[str, ModeOutcome]:
-    """One batch job per mode; deterministic mode-order results."""
-    from repro.aadl import format_model
-    from repro.batch.jobs import AnalysisJob
-    from repro.batch.pool import run_batch
-
     source = format_model(model)
-    quantum_us = None
-    if quantum is not None:
-        quantum_us = quantum.picoseconds // 1_000_000
-    jobs = []
-    for mode in modes:
-        if portfolio:
-            job = AnalysisJob.from_portfolio(
-                source,
+    jobs = [
+        AnalysisJob.from_request(
+            AnalysisRequest(
+                source=source,
                 root=impl.name,
-                job_id=f"mode:{mode}",
-                max_states=max_states,
-                quantum_us=quantum_us,
-                tiers=tiers,
-                reduce=reduction,
                 mode=mode,
-            )
-        else:
-            job = AnalysisJob.from_aadl(
-                source,
-                root=impl.name,
-                job_id=f"mode:{mode}",
+                quantum_ps=None if quantum is None else quantum.picoseconds,
                 max_states=max_states,
-                quantum_us=quantum_us,
+                decomposition=decomposition,
+                tiers=(tiers or DEFAULT_TIERS) if portfolio else None,
                 reduce=reduction,
-                mode=mode,
-            )
-        jobs.append(job)
-    report = run_batch(jobs, workers=workers, cache=cache, progress=progress)
-    by_id = {result.job_id: result for result in report.results}
-    return {
-        mode: ModeOutcome.from_job(mode, by_id[f"mode:{mode}"])
+                max_window=max_window,
+                fault=fault,
+            ),
+            job_id=f"mode:{mode}",
+            model=model,
+        )
         for mode in modes
-    }
+    ]
+    inline = workers is None and cache is None
+    report = run_batch(
+        jobs, workers=1 if inline else workers, cache=cache, progress=progress
+    )
+    return ModalAnalysisResult(
+        {
+            mode: ModeOutcome.from_job(mode, result)
+            for mode, result in zip(modes, report.results)
+        },
+        automaton.unreachable_modes(),
+    )

@@ -6,7 +6,8 @@ runs *many* analyses whose verdicts are pure functions of (model,
 options).  This subsystem makes that the first-class unit of work:
 
 * :mod:`~repro.batch.jobs` -- :class:`AnalysisJob`, a self-contained
-  picklable analysis request (an AADL source or an oracle case), and
+  picklable job (an :class:`~repro.analysis.request.AnalysisRequest` or
+  an oracle case), and
   :class:`JobResult`, its JSON-typed outcome;
 * :mod:`~repro.batch.cache` -- :class:`VerdictCache`, the persistent
   content-addressed verdict store under ``artifacts/cache/`` (key =
@@ -31,6 +32,7 @@ from repro.batch.cache import (
 )
 from repro.batch.jobs import (
     BATCH_FAULTS,
+    JOB_KINDS,
     AnalysisJob,
     JobResult,
     execute_job,
@@ -50,6 +52,7 @@ __all__ = [
     "BatchReport",
     "CACHE_SCHEMA_VERSION",
     "DEFAULT_CACHE_DIR",
+    "JOB_KINDS",
     "JobResult",
     "ProgressFn",
     "VerdictCache",

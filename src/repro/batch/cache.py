@@ -12,18 +12,20 @@ Key definition
 
 ``cache_key(job)`` is the SHA-256 of a canonical JSON document::
 
-    {"schema": CACHE_SCHEMA_VERSION,
-     "kind":   "aadl" | "case",
-     "model":  <canonical AADL text of the instantiated model>,
-     "options": {<sorted, semantic analysis options>}}
+    {"schema":  CACHE_SCHEMA_VERSION,
+     "kind":    "analysis" | "case",
+     "model":   <canonical AADL text of the model under test>,
+     "options": <AnalysisJob.key_options()>}
 
 The model half comes from
 :meth:`~repro.batch.jobs.AnalysisJob.canonical_model_text`: AADL
-sources are round-tripped through the parser/printer (formatting and
-comments cannot split the key) and oracle cases regenerate their AADL
-from the task list (provenance -- generator name, seed, case id --
-cannot split it either).  The options half holds exactly the knobs
-that can change a verdict: state budget, quantum, injected fault.
+sources are printed from the parsed model (formatting and comments
+cannot split the key) and oracle cases regenerate their AADL from the
+task list (provenance -- generator name, seed, case id -- cannot split
+it either).  The options half is the canonical
+:class:`~repro.analysis.request.AnalysisRequest` without its model half
+(defaults left out, so spelling a default out cannot split the key
+either), or a case's budget and injected fault.
 
 Invalidation rules
 ------------------
@@ -53,8 +55,10 @@ from repro.errors import BatchError
 logger = logging.getLogger(__name__)
 
 #: Bump on ANY change that can alter a verdict for the same model text
-#: and options (translation rules, ACSR semantics, verdict mapping...).
-CACHE_SCHEMA_VERSION = 1
+#: and options (translation rules, ACSR semantics, verdict mapping...)
+#: or to the key layout itself (2: one ``analysis`` kind keyed by its
+#: request).
+CACHE_SCHEMA_VERSION = 2
 
 #: Default on-disk location for cached verdicts.
 DEFAULT_CACHE_DIR = os.path.join("artifacts", "cache")
@@ -66,7 +70,7 @@ def cache_key(job) -> str:
         "schema": CACHE_SCHEMA_VERSION,
         "kind": job.kind,
         "model": job.canonical_model_text(),
-        "options": {key: job.options[key] for key in sorted(job.options)},
+        "options": job.key_options(),
     }
     blob = json.dumps(material, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -99,7 +99,7 @@ def _execute_payload(data: Dict) -> Dict:
         # worker never raises back through the pool.
         return JobResult(
             job_id=data.get("job_id", "?"),
-            kind=data.get("kind", "aadl"),
+            kind=data.get("kind", "analysis"),
             verdict="error",
             error=f"worker shell failure: {type(exc).__name__}: {exc}",
         ).to_dict()
@@ -150,12 +150,9 @@ def _run_pool(
                 # failures (a payload that cannot pickle, ...).
                 finish(
                     index,
-                    JobResult(
-                        job_id=jobs[index].job_id,
-                        kind=jobs[index].kind,
-                        verdict="error",
-                        error=f"pool transport failure: "
-                        f"{type(exc).__name__}: {exc}",
+                    JobResult.failed(
+                        jobs[index],
+                        f"pool transport failure: {type(exc).__name__}: {exc}",
                     ),
                 )
             else:
@@ -169,15 +166,7 @@ def _run_pool(
                     _execute_payload, dict(payloads[index])
                 ).result()
         except BrokenExecutor:
-            finish(
-                index,
-                JobResult(
-                    job_id=jobs[index].job_id,
-                    kind=jobs[index].kind,
-                    verdict="error",
-                    error=WORKER_DIED,
-                ),
-            )
+            finish(index, JobResult.failed(jobs[index], WORKER_DIED))
         else:
             finish(index, JobResult.from_dict(data))
 

@@ -138,71 +138,108 @@ def _dispatch(args) -> int:
     return status
 
 
+#: The analysis flags as ``(args attribute, flag)``; the first four
+#: pick a layer.
+ANALYSIS_FLAGS = (
+    ("modal", "--modal"),
+    ("all_modes", "--all-modes"),
+    ("compose", "--compose"),
+    ("hier", "--hier"),
+    ("portfolio", "--portfolio"),
+    ("reduce", "--reduce"),
+    ("protocol", "--protocol"),
+    ("max_window", "--max-window"),
+    ("max_phasings", "--max-phasings"),
+)
+
+
+def _request_fields(args) -> dict:
+    """The :class:`~repro.analysis.request.AnalysisRequest` fields the
+    analysis flags spell out (everything but the source)."""
+    from repro.analysis.request import DEFAULT_TIERS
+
+    flag = lambda name: getattr(args, name, None)  # noqa: E731
+    if flag("compose") and flag("hier"):
+        raise ReproError(
+            "--compose and --hier are alternative decompositions; pick one"
+        )
+    modes = "modal" if args.modal else "all" if flag("all_modes") else None
+    decomposition = (
+        "compose" if flag("compose") else "hier" if flag("hier") else None
+    )
+    return dict(
+        root=args.root,
+        modes=modes,
+        protocol=args.protocol,
+        quantum_ps=None if args.quantum is None else args.quantum * 1_000_000,
+        max_states=args.max_states,
+        decomposition=decomposition,
+        tiers=DEFAULT_TIERS if args.portfolio else None,
+        reduce=args.reduce,
+        max_window=flag("max_window"),
+        max_phasings=flag("max_phasings"),
+    )
+
+
+def _flags(args, count: int = len(ANALYSIS_FLAGS)) -> str:
+    """The flags among the first ``count`` analysis flags that the
+    command line sets away from their defaults."""
+    unset = (None, False, "synchronous")
+    return " ".join(
+        flag
+        for name, flag in ANALYSIS_FLAGS[:count]
+        if getattr(args, name, None) not in unset
+    )
+
+
 def _run_file_batch(args, paths: List[str]) -> int:
     """Shared by ``analyze <files...>`` and ``batch run``: fan the
     inputs across the worker pool and honour the batch exit contract."""
     from repro.batch import AnalysisJob, run_batch
 
-    from repro.engine.reduce import reduction_token
-
-    reduce_token = reduction_token(getattr(args, "reduce", None))
-    job_list = []
-    for path in paths:
-        if path.endswith(".json"):
-            job_list.append(
-                AnalysisJob.from_file(path, max_states=args.max_states)
-            )
-        else:
-            modal = (
-                {"modal": True, "protocol": args.protocol}
-                if getattr(args, "modal", False)
-                else {}
-            )
-            job_list.append(
-                AnalysisJob.from_file(
-                    path,
-                    root=getattr(args, "root", None),
-                    max_states=args.max_states,
-                    quantum_us=args.quantum,
-                    portfolio=getattr(args, "portfolio", False),
-                    reduce=reduce_token,
-                    **modal,
-                )
-            )
+    fields = _request_fields(args)
     report = run_batch(
-        job_list, workers=args.jobs, cache=_cache_spec(args)
+        [AnalysisJob.from_file(path, **fields) for path in paths],
+        workers=args.jobs,
+        cache=_cache_spec(args),
     )
     print(report.format(show_stats=args.stats))
     return report.exit_code()
 
 
 def cmd_analyze(args) -> int:
-    from repro.analysis import Verdict, analyze_model, compare_with_baselines
+    """One request through the :func:`repro.analysis.request.analyze`
+    planner, or -- for several files or a verdict cache without a layer
+    flag -- one batch job per file."""
+    from repro.analysis import Verdict, compare_with_baselines
+    from repro.analysis.request import AnalysisRequest, analyze
+    from repro.errors import RequestError
 
-    if getattr(args, "compose", False):
-        # Compositional analysis subsumes the batch path: islands fan
-        # out through the same pool/cache, so this branch comes first.
-        return _run_compose(args)
-    if getattr(args, "hier", False):
-        return _run_hier(args)
-    if getattr(args, "modal", False):
-        return _run_modal(args)
-    if args.all_modes:
-        # Before the batch path: per-mode analysis runs its own pool
-        # fan-out (one job per mode), so --jobs/--cache belong to it.
-        return _run_all_modes(args)
-    if len(args.files) > 1 or _cache_spec(args) is not None:
+    layers = _flags(args, 4)
+    if not layers and (len(args.files) > 1 or _cache_spec(args) is not None):
         return _run_file_batch(args, args.files)
-    args.file = args.files[0]
-    model, instance = _load_instance(args)
-    result = analyze_model(
-        instance,
-        quantum=_quantum(args),
-        max_states=args.max_states,
-        portfolio=getattr(args, "portfolio", False),
-        reduction=getattr(args, "reduce", None),
-    )
+    if len(args.files) != 1:
+        raise ReproError(f"{layers} analyzes exactly one model at a time")
+    try:
+        request = AnalysisRequest(
+            source=_read(args.files[0]), **_request_fields(args)
+        )
+    except RequestError as exc:
+        raise ReproError(f"{_flags(args)}: {exc}") from None
+    result = analyze(request, workers=args.jobs, cache=_cache_spec(args))
+    single = request.modes is None
+    compose = request.decomposition == "compose"
+    if compose and single and not result.compositional:
+        print(
+            f"compose: monolithic fallback: {result.fallback_reason}",
+            file=sys.stderr,
+        )
     print(result.format(show_stats=args.stats))
+    if request.decomposition == "hier" and single:
+        for line in result.tier_trail:
+            print(line)
+    if layers:
+        return result.verdict.exit_code
     if args.response_times and result.verdict is Verdict.SCHEDULABLE:
         from repro.analysis.response import response_time_report
 
@@ -215,198 +252,11 @@ def cmd_analyze(args) -> int:
     if args.baselines:
         print()
         print("baselines:")
+        args.file = args.files[0]
+        _, instance = _load_instance(args)
         for row in compare_with_baselines(instance, max_states=args.max_states):
             print(f"  {row!r}")
     return result.verdict.exit_code
-
-
-def _run_all_modes(args) -> int:
-    from repro.analysis.modes import analyze_all_modes
-    from repro.engine.reduce import reduction_token
-
-    if len(args.files) != 1:
-        raise ReproError("--all-modes analyzes exactly one model at a time")
-    args.file = args.files[0]
-    model, _ = _load_instance(args)
-    result = analyze_all_modes(
-        model,
-        args.root,
-        quantum=_quantum(args),
-        max_states=args.max_states,
-        portfolio=getattr(args, "portfolio", False),
-        reduction=reduction_token(getattr(args, "reduce", None)),
-        workers=args.jobs,
-        cache=_cache_spec(args),
-    )
-    print(result.format())
-    return result.verdict.exit_code
-
-
-def _run_modal(args) -> int:
-    from repro.engine.reduce import reduction_token
-    from repro.modal import (
-        DEFAULT_MAX_PHASINGS,
-        DEFAULT_TRANSIENT_WINDOW,
-        analyze_modal,
-    )
-
-    if len(args.files) != 1:
-        raise ReproError("--modal analyzes exactly one model at a time")
-    args.file = args.files[0]
-    model, _ = _load_instance(args)
-    result = analyze_modal(
-        model,
-        args.root,
-        protocol=args.protocol,
-        quantum=_quantum(args),
-        max_states=args.max_states,
-        portfolio=getattr(args, "portfolio", False),
-        reduction=reduction_token(getattr(args, "reduce", None)),
-        workers=args.jobs,
-        cache=_cache_spec(args),
-        max_phasings=(
-            args.max_phasings
-            if args.max_phasings is not None
-            else DEFAULT_MAX_PHASINGS
-        ),
-        max_window=(
-            args.max_window
-            if args.max_window is not None
-            else DEFAULT_TRANSIENT_WINDOW
-        ),
-    )
-    print(result.format())
-    if args.stats:
-        print()
-        print(result.stats.format())
-    return result.verdict.exit_code
-
-
-def _reachable_mode_list(model, root: str):
-    """The reachable modes of ``root`` in declaration order, for the
-    per-mode --hier/--compose loops."""
-    from repro.modal.automaton import ModeAutomaton
-
-    impl = model.implementation(root)
-    if not impl.modes:
-        raise ReproError(
-            f"{root} declares no modes; drop --all-modes"
-        )
-    automaton = ModeAutomaton.from_implementation(model, impl)
-    reachable = {m.lower() for m in automaton.reachable_modes()}
-    modes = [m for m in automaton.modes if m.lower() in reachable]
-    return impl, modes, automaton.unreachable_modes()
-
-
-def _run_hier(args) -> int:
-    from repro.hier import DEFAULT_MAX_WINDOW, analyze_hier
-    from repro.translate.quantum import TimingQuantizer
-
-    if len(args.files) != 1:
-        raise ReproError("--hier analyzes exactly one model at a time")
-    args.file = args.files[0]
-    model, instance = _load_instance(args)
-    quantum = _quantum(args)
-    quantizer = TimingQuantizer(quantum) if quantum is not None else None
-    max_window = (
-        args.max_window
-        if args.max_window is not None
-        else DEFAULT_MAX_WINDOW
-    )
-    if getattr(args, "all_modes", False):
-        from repro.aadl import instantiate
-        from repro.analysis import Verdict
-
-        impl, modes, unreachable = _reachable_mode_list(model, args.root)
-        verdicts = []
-        for mode in modes:
-            pinned = instantiate(
-                model, args.root, mode_overrides={impl.name: mode}
-            )
-            result = analyze_hier(
-                pinned,
-                quantizer=quantizer,
-                max_window=max_window,
-                steady_mode=True,
-            )
-            print(f"mode {mode}: {result.verdict.value}")
-            for line in result.format(show_stats=args.stats).splitlines():
-                print(f"  {line}")
-            verdicts.append(result.verdict)
-        if unreachable:
-            print(
-                "unreachable from the initial mode (skipped): "
-                + ", ".join(unreachable)
-            )
-        overall = Verdict.combine(verdicts)
-        print(f"overall: {overall.value}")
-        return overall.exit_code
-    result = analyze_hier(
-        instance, quantizer=quantizer, max_window=max_window
-    )
-    print(result.format(show_stats=args.stats))
-    for line in result.tier_trail:
-        print(line)
-    return result.verdict.exit_code
-
-
-def _run_compose(args) -> int:
-    from repro.compose import analyze_compositionally
-
-    if len(args.files) != 1:
-        raise ReproError("--compose analyzes exactly one model at a time")
-    args.file = args.files[0]
-    model, instance = _load_instance(args)
-    if getattr(args, "all_modes", False):
-        from repro.analysis import Verdict
-
-        impl, modes, unreachable = _reachable_mode_list(model, args.root)
-        verdicts = []
-        for mode in modes:
-            result = analyze_compositionally(
-                model,
-                root_impl=args.root,
-                mode=mode,
-                quantum=_quantum(args),
-                max_states=args.max_states,
-                workers=args.jobs,
-                cache=_cache_spec(args),
-                portfolio=getattr(args, "portfolio", False),
-                reduction=getattr(args, "reduce", None),
-            )
-            print(f"mode {mode}: {result.verdict.value}")
-            if not result.compositional:
-                print(
-                    f"  monolithic fallback: {result.fallback_reason}",
-                    file=sys.stderr,
-                )
-            for line in result.format(show_stats=args.stats).splitlines():
-                print(f"  {line}")
-            verdicts.append(result.verdict)
-        if unreachable:
-            print(
-                "unreachable from the initial mode (skipped): "
-                + ", ".join(unreachable)
-            )
-        overall = Verdict.combine(verdicts)
-        print(f"overall: {overall.value}")
-        return overall.exit_code
-    result = analyze_compositionally(
-        instance,
-        quantum=_quantum(args),
-        max_states=args.max_states,
-        workers=args.jobs,
-        cache=_cache_spec(args),
-        portfolio=getattr(args, "portfolio", False),
-        reduction=getattr(args, "reduce", None),
-    )
-    if not result.compositional:
-        print(
-            f"compose: monolithic fallback: {result.fallback_reason}",
-            file=sys.stderr,
-        )
-    print(result.format(show_stats=args.stats))
-    return result.exit_code
 
 
 def cmd_compose_plan(args) -> int:

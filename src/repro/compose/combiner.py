@@ -98,7 +98,7 @@ class CompositionResult:
         return self.mode == "compositional"
 
     @property
-    def total_states(self) -> int:
+    def num_states(self) -> int:
         """States explored: sum over islands, or the monolithic count."""
         if self.compositional:
             return sum(outcome.states for outcome in self.outcomes)
@@ -114,7 +114,7 @@ class CompositionResult:
             return "\n".join(lines)
         lines = [
             f"compose: {len(self.outcomes)} islands "
-            f"({self.total_states} states total)"
+            f"({self.num_states} states total)"
         ]
         for outcome in self.outcomes:
             cached = " [cached]" if outcome.cached else ""

@@ -2,13 +2,14 @@
 
 :func:`analyze_compositionally` is the ``analyze --compose`` entry
 point.  It partitions the instance into processor islands
-(:mod:`~repro.compose.coupling`), ships one ``island`` batch job per
-island through the :mod:`repro.batch` pool -- so islands analyze in
-parallel and land in the persistent verdict cache under per-island
-keys -- and folds the island verdicts into one answer
-(:mod:`~repro.compose.combiner`).  When decomposition is unsound or
-pointless it runs the ordinary monolithic pipeline instead and says
-why.
+(:mod:`~repro.compose.coupling`), ships one batch job per island -- an
+:class:`~repro.analysis.request.AnalysisRequest` carrying the island's
+members, which the worker hands to :func:`analyze_island` -- through the
+:mod:`repro.batch` pool, so islands analyze in parallel and land in the
+persistent verdict cache under per-island keys, and folds the island
+verdicts into one answer (:mod:`~repro.compose.combiner`).  When
+decomposition is unsound or pointless it runs the ordinary monolithic
+pipeline instead and says why.
 
 Every island is analyzed with the *full* model's natural quantum, not
 its own: an island's GCD can be coarser than the whole model's, and a
@@ -26,7 +27,12 @@ from repro.aadl.components import DeclarativeModel
 from repro.aadl.instance import SystemInstance, instantiate
 from repro.aadl.printer import format_model
 from repro.aadl.properties import TimeValue
-from repro.analysis.schedulability import Verdict, analyze_model
+from repro.analysis.request import AnalysisRequest, IslandSpec
+from repro.analysis.schedulability import (
+    AnalysisResult,
+    Verdict,
+    analyze_model,
+)
 from repro.batch.jobs import AnalysisJob, JobResult
 from repro.batch.pool import run_batch
 from repro.compose.combiner import (
@@ -98,13 +104,13 @@ def analyze_compositionally(
     ``portfolio`` screens every island through the analytic tiers
     *before* the fan-out: islands the tiers decide (microseconds,
     in-process) never spawn an exploration job, and only the undecided
-    remainder ships to the pool -- as ordinary ``island`` jobs, so their
+    remainder ships to the pool -- as ordinary island jobs, so their
     cache entries are shared with non-portfolio compose runs.  The
     monolithic fallback likewise routes through the portfolio.
 
     ``reduction`` (a ``"sym,por"``-style spec) is forwarded to every
     island job and to the monolithic fallback; the spec rides in each
-    job's options, so reduced and unreduced runs never share verdict
+    job's request, so reduced and unreduced runs never share verdict
     cache entries.
 
     ``mode`` pins a multi-modal root to one steady mode (requires a
@@ -188,19 +194,26 @@ def analyze_compositionally(
             if island.label not in analytic
         ]
 
-    source = format_model(instance.declarative)
+    model = instance.declarative
+    source = format_model(model)
     root = instance.impl.name if instance.impl is not None else None
     jobs = [
-        AnalysisJob.from_island(
-            source,
-            root=root,
-            label=island.label,
-            threads=[t.qualified_name for t in island.threads],
-            processors=[p.qualified_name for p in island.processors],
-            max_states=max_states,
-            quantum_ps=quantum_ps,
-            reduce=reduce_token,
-            mode=mode,
+        AnalysisJob.from_request(
+            AnalysisRequest(
+                source=source,
+                root=root,
+                mode=mode,
+                quantum_ps=quantum_ps,
+                max_states=max_states,
+                reduce=reduce_token,
+                island=IslandSpec(
+                    island.label,
+                    tuple(t.qualified_name for t in island.threads),
+                    tuple(p.qualified_name for p in island.processors),
+                ),
+            ),
+            job_id=island.label,
+            model=model,
         )
         for island in pending_islands
     ]
@@ -244,9 +257,63 @@ def analyze_compositionally(
             )
         combined = combine_outcomes(partition, outcomes)
         span.set(verdict=combined.verdict.value).incr(
-            "states", combined.total_states
+            "states", combined.num_states
         )
     return combined
+
+
+def analyze_island(
+    instance: SystemInstance,
+    island: IslandSpec,
+    *,
+    quantum: Optional[TimeValue] = None,
+    max_states: int = 1_000_000,
+    reduction: Optional[str] = None,
+    steady_mode: bool = False,
+) -> AnalysisResult:
+    """Analyze the slice of ``instance`` holding ``island``'s members
+    (qualified names) under the full model's ``quantum``.  A
+    partitioned slice goes to the hierarchical (BDR) analysis, since
+    the ACSR translation has no server semantics; any other to
+    exploration."""
+    from repro.aadl import slice_instance
+    from repro.errors import ComposeError
+    from repro.obs.tracer import current_tracer
+
+    wanted = set(island.threads) | set(island.processors)
+    keep = [
+        inst for inst in instance.descendants()
+        if inst.qualified_name in wanted
+    ]
+    missing = sorted(wanted - {inst.qualified_name for inst in keep})
+    if missing:
+        raise ComposeError(
+            f"island {island.label!r} names components absent from "
+            f"the instance: {', '.join(missing)}"
+        )
+    sliced = slice_instance(instance, keep, label=island.label)
+    with current_tracer().span("compose.island", island=island.label) as span:
+        if _is_partitioned(sliced):
+            from repro.hier import analyze_hier
+
+            result = analyze_hier(
+                sliced,
+                quantizer=(
+                    TimingQuantizer(quantum) if quantum is not None else None
+                ),
+                steady_mode=steady_mode,
+            )
+        else:
+            result = analyze_model(
+                sliced,
+                quantum=quantum,
+                max_states=max_states,
+                reduction=reduction,
+            )
+        span.set(verdict=result.verdict.value).incr(
+            "states", result.num_states
+        )
+    return result
 
 
 def _is_partitioned(instance: SystemInstance) -> bool:

@@ -125,7 +125,7 @@ def parse_reduction_spec(
 def reduction_token(spec: Union[str, Sequence[str], None]) -> Optional[str]:
     """The canonical spec token (``"sym,por"``-style) or ``None``.
 
-    This is what rides in batch-job options, so cache keys distinguish
+    This is what rides in an analysis request, so cache keys distinguish
     reduced from unreduced runs (and every distinct pass combination).
     """
     parsed = parse_reduction_spec(spec)

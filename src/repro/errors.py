@@ -106,6 +106,11 @@ class ExplorationLimitError(AnalysisError):
         super().__init__(message)
 
 
+class RequestError(AnalysisError):
+    """An analysis request no layer implements (unknown field, ill-typed
+    value or unsupported combination of layers)."""
+
+
 class SchedError(ReproError):
     """Errors in the classical schedulability baselines."""
 

@@ -112,7 +112,7 @@ class ModalResult:
 
     @property
     def num_states(self) -> int:
-        return sum(o.num_states for o in self.steady.per_mode.values())
+        return self.steady.num_states
 
     @property
     def failing_transitions(self) -> List[TransitionOutcome]:
@@ -122,7 +122,7 @@ class ModalResult:
             if o.verdict is Verdict.UNSCHEDULABLE
         ]
 
-    def format(self) -> str:
+    def format(self, *, show_stats: bool = False) -> str:
         lines = [
             f"modal analysis of {self.impl_name} "
             f"(protocol: {self.protocol})",
@@ -140,6 +140,8 @@ class ModalResult:
                 )
         else:
             lines.append("transitions: none declared")
+        if show_stats:
+            lines.extend(["", self.stats.format()])
         return "\n".join(lines)
 
     def __repr__(self) -> str:

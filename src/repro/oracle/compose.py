@@ -78,7 +78,7 @@ def evaluate(seed: int, *, max_states: int = MAX_STATES) -> RelationOutcome:
             # explores the same space twice.
             "monolithic_states": monolithic.num_states if decomposed else 0,
             "island_states": (
-                compositional.total_states if decomposed else 0
+                compositional.num_states if decomposed else 0
             ),
         },
         details=[

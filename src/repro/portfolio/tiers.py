@@ -372,9 +372,10 @@ def tiers_from_token(
     token: Optional[str], *, max_horizon: int = DEFAULT_MAX_HORIZON
 ) -> List[Tier]:
     """Rebuild a tier chain from its config token (``"+"``-joined tier
-    names, the cache-key form).  None or the empty string selects the
-    default chain; unknown names raise."""
-    if not token:
+    names, the cache-key form).  None, the empty string or ``"default"``
+    (:data:`repro.analysis.request.DEFAULT_TIERS`) selects the default
+    chain; unknown names raise."""
+    if not token or token == "default":
         return default_tiers(max_horizon=max_horizon)
     factories = {
         HierTier.name: HierTier,

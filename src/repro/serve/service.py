@@ -295,15 +295,7 @@ class AnalysisService:
             self.counters["invalid"] += 1
             record = self._new_record(job, None, "invalid")
             self._publish(record, "queued", {"state": "queued"})
-            self._finish(
-                record,
-                JobResult(
-                    job_id=job.job_id,
-                    kind=job.kind,
-                    verdict="error",
-                    error=str(exc),
-                ),
-            )
+            self._finish(record, JobResult.failed(job, str(exc)))
             return record, "invalid"
         if self.cache is not None:
             stored = self.cache.get(key)
@@ -398,11 +390,9 @@ class AnalysisService:
                 if record.result is None:
                     self._finish(
                         record,
-                        JobResult(
-                            job_id=record.job.job_id,
-                            kind=record.job.kind,
-                            verdict="error",
-                            error="internal service error (see server log)",
+                        JobResult.failed(
+                            record.job,
+                            "internal service error (see server log)",
                         ),
                     )
             finally:
@@ -440,12 +430,7 @@ class AnalysisService:
                     self._executor = self._make_executor()
                     executor.shutdown(wait=False)
         if payload is None:
-            result = JobResult(
-                job_id=record.job.job_id,
-                kind=record.job.kind,
-                verdict="error",
-                error=WORKER_DIED,
-            )
+            result = JobResult.failed(record.job, WORKER_DIED)
         else:
             result = JobResult.from_dict(payload["result"])
             for span in payload.get("spans", ()):
@@ -488,7 +473,8 @@ class AnalysisService:
         error response."""
         assert record.result is not None
         bundle = {
-            "schema_version": 1,
+            # 2: the job is one ``analysis`` request (AnalysisJob layout)
+            "schema_version": 2,
             "request_id": record.request_id,
             "cache_key": record.key,
             "disposition": record.disposition,
@@ -536,9 +522,13 @@ def job_from_request(body: Dict[str, Any]) -> AnalysisJob:
 
         {"job": {<AnalysisJob.to_dict() layout>}}   # bundle replay
 
-    Raises :class:`ServeError` on anything else; the HTTP layer turns
-    that into a 400.
+    The first shape becomes an :class:`~repro.analysis.request.
+    AnalysisRequest` (``quantum_us`` in microseconds; ``tiers`` counts
+    only with ``portfolio``).  Raises :class:`ServeError` on anything
+    else; the HTTP layer turns that into a 400.
     """
+    from repro.analysis.request import DEFAULT_TIERS, AnalysisRequest
+
     if not isinstance(body, dict):
         raise ServeError("request body must be a JSON object")
     if "job" in body:
@@ -562,37 +552,30 @@ def job_from_request(body: Dict[str, Any]) -> AnalysisJob:
         raise ServeError(
             f"unknown options {unknown}; choose from {sorted(known)}"
         )
-    max_states = options.get("max_states", 1_000_000)
-    if not isinstance(max_states, int) or max_states < 1:
-        raise ServeError(f"max_states must be a positive int, got {max_states!r}")
-    quantum_us = options.get("quantum_us")
-    if quantum_us is not None and not isinstance(quantum_us, int):
-        raise ServeError(f"quantum_us must be an int, got {quantum_us!r}")
-    root = body.get("root")
-    if root is not None and not isinstance(root, str):
-        raise ServeError(f"root must be a string, got {root!r}")
     job_id = body.get("job_id")
     if job_id is not None and not isinstance(job_id, str):
         raise ServeError(f"job_id must be a string, got {job_id!r}")
-    if body.get("portfolio"):
-        job = AnalysisJob.from_portfolio(
-            source,
-            root=root,
-            job_id=job_id,
-            max_states=max_states,
-            quantum_us=quantum_us,
-            tiers=options.get("tiers"),
+    quantum_us = options.get("quantum_us")
+    try:
+        request = AnalysisRequest(
+            source=source,
+            root=body.get("root"),
+            quantum_ps=(
+                quantum_us * 1_000_000
+                if type(quantum_us) is int
+                else quantum_us
+            ),
+            max_states=options.get("max_states", 1_000_000),
+            tiers=(
+                options.get("tiers") or DEFAULT_TIERS
+                if body.get("portfolio")
+                else None
+            ),
             reduce=options.get("reduce"),
         )
-    else:
-        job = AnalysisJob.from_aadl(
-            source,
-            root=root,
-            job_id=job_id,
-            max_states=max_states,
-            quantum_us=quantum_us,
-            reduce=options.get("reduce"),
-        )
+    except ReproError as exc:
+        raise ServeError(f"bad request: {exc}") from exc
+    job = AnalysisJob.from_request(request, job_id=job_id)
     if options.get("batch_fault"):
         job.options["batch_fault"] = options["batch_fault"]
     return job

@@ -142,6 +142,28 @@ class TestAnalyzeAllModes:
         assert second.verdict is first.verdict
         assert "[cached]" in second.format()
 
+    def test_sub_microsecond_quantum_is_kept_by_every_worker_count(self):
+        """Inline and pooled per-mode jobs carry the same picosecond
+        quantum: none of them rounds 2 000 500 ns to whole microseconds."""
+        from repro.aadl.gallery import fault_recovery_text
+        from repro.aadl.properties import TimeValue
+
+        model = parse_model(fault_recovery_text())
+        outcomes = [
+            {
+                mode: (outcome.verdict, outcome.num_states)
+                for mode, outcome in analyze_all_modes(
+                    model,
+                    "Plant.impl",
+                    quantum=TimeValue(2_000_500, "ns"),
+                    workers=workers,
+                ).per_mode.items()
+            }
+            for workers in (None, 1, 2)
+        ]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0]["error"] == (Verdict.UNSCHEDULABLE, 17)
+
 
 class TestVerdictDominance:
     """UNSCHEDULABLE > UNKNOWN > SCHEDULABLE across the per-mode map."""

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.aadl.gallery import cruise_control_text
+from repro.analysis.request import AnalysisRequest
 from repro.batch import (
     AnalysisJob,
     JobResult,
@@ -20,13 +21,19 @@ from repro.batch import (
 from repro.batch.cache import CACHE_SCHEMA_VERSION
 from repro.cli import main
 from repro.engine.stats import EngineStats
-from repro.errors import BatchError
+from repro.errors import BatchError, RequestError
 from repro.oracle.case import OracleCase
+
+
+def _job(source, job_id=None, **fields):
+    return AnalysisJob.from_request(
+        AnalysisRequest(source=source, **fields), job_id=job_id
+    )
 
 
 @pytest.fixture
 def cc_job():
-    return AnalysisJob.from_aadl(cruise_control_text(), job_id="cc")
+    return _job(cruise_control_text(), job_id="cc")
 
 
 @pytest.fixture
@@ -61,7 +68,7 @@ class TestAnalysisJob:
         path = tmp_path / "cc.aadl"
         path.write_text(cruise_control_text())
         job = AnalysisJob.from_file(str(path))
-        assert job.kind == "aadl"
+        assert job.kind == "analysis"
         assert job.job_id == "cc.aadl"
 
     def test_from_file_case_json(self, tmp_path):
@@ -73,7 +80,7 @@ class TestAnalysisJob:
         assert job.payload["case"]["case_id"] == case.case_id
 
     def test_execute_error_is_captured(self):
-        job = AnalysisJob.from_aadl("this is not AADL", job_id="bad")
+        job = _job("this is not AADL", job_id="bad")
         result = execute_job(job)
         assert result.verdict == "error"
         assert result.error
@@ -85,8 +92,8 @@ class TestCacheKey:
         reformatted = "-- a leading comment\n" + source.replace(
             "\n", "\n  \n", 1
         )
-        a = cache_key(AnalysisJob.from_aadl(source, job_id="a"))
-        b = cache_key(AnalysisJob.from_aadl(reformatted, job_id="b"))
+        a = cache_key(_job(source, job_id="a"))
+        b = cache_key(_job(reformatted, job_id="b"))
         assert a == b
 
     def test_provenance_cannot_split_case_keys(self):
@@ -99,8 +106,8 @@ class TestCacheKey:
 
     def test_options_split_keys(self):
         source = cruise_control_text()
-        a = cache_key(AnalysisJob.from_aadl(source, max_states=10))
-        b = cache_key(AnalysisJob.from_aadl(source, max_states=20))
+        a = cache_key(_job(source, max_states=10))
+        b = cache_key(_job(source, max_states=20))
         assert a != b
 
     def test_fault_splits_case_keys(self):
@@ -198,14 +205,14 @@ class TestRunBatch:
         assert warm.cache_misses == 0
 
     def test_error_job_does_not_abort_batch(self, cc_job):
-        bad = AnalysisJob.from_aadl("garbage", job_id="bad")
+        bad = _job("garbage", job_id="bad")
         report = run_batch([cc_job, bad], workers=1)
         assert report.results[0].verdict == "schedulable"
         assert report.results[1].verdict == "error"
         assert report.exit_code() == 2
 
     def test_error_results_not_cached(self, tmp_path):
-        bad = AnalysisJob.from_aadl("garbage", job_id="bad")
+        bad = _job("garbage", job_id="bad")
         store = VerdictCache(str(tmp_path / "cache"))
         run_batch([bad], workers=1, cache=store)
         assert len(store) == 0
@@ -213,11 +220,11 @@ class TestRunBatch:
     def test_exit_code_priority(self, cc_job):
         report = run_batch([cc_job], workers=1)
         assert report.exit_code() == 0
-        truncated = AnalysisJob.from_aadl(
+        truncated = _job(
             cruise_control_text(), job_id="tiny", max_states=10
         )
         assert run_batch([truncated], workers=1).exit_code() == 3
-        over = AnalysisJob.from_aadl(
+        over = _job(
             cruise_control_text(overloaded=True), job_id="over"
         )
         assert run_batch([over, truncated], workers=1).exit_code() == 1
@@ -446,7 +453,7 @@ class TestAggregateWallClock:
         # Two *distinct* models: identical jobs would dedupe in-batch
         # and leave only one actual execution.
         jobs = [
-            AnalysisJob.from_aadl(
+            _job(
                 cruise_control_text(overloaded=bool(i)), job_id=f"j{i}"
             )
             for i in range(2)
@@ -468,23 +475,23 @@ class TestModalJobs:
 
         return fault_recovery_text()
 
-    def test_from_modal_rejects_unknown_protocol(self):
-        with pytest.raises(BatchError):
-            AnalysisJob.from_modal(self._source(), protocol="eventual")
+    def test_modal_request_rejects_unknown_protocol(self):
+        with pytest.raises(RequestError):
+            _job(self._source(), modes="modal", protocol="eventual")
 
     def test_protocol_is_cache_key_material(self):
         source = self._source()
-        sync = AnalysisJob.from_modal(source, protocol="synchronous")
-        asyn = AnalysisJob.from_modal(source, protocol="asynchronous")
+        sync = _job(source, modes="modal", protocol="synchronous")
+        asyn = _job(source, modes="modal", protocol="asynchronous")
         assert cache_key(sync) != cache_key(asyn)
 
     def test_mode_pin_is_cache_key_material(self):
         source = self._source()
-        plain = AnalysisJob.from_aadl(source, root="Plant.impl")
-        pinned = AnalysisJob.from_aadl(
+        plain = _job(source, root="Plant.impl")
+        pinned = _job(
             source, root="Plant.impl", mode="error"
         )
-        other = AnalysisJob.from_aadl(
+        other = _job(
             source, root="Plant.impl", mode="recovery"
         )
         keys = {cache_key(plain), cache_key(pinned), cache_key(other)}
@@ -492,9 +499,9 @@ class TestModalJobs:
 
     def test_modal_job_runs_and_caches(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        job = AnalysisJob.from_modal(
+        job = _job(
             self._source(), root="Plant.impl",
-            protocol="asynchronous",
+            modes="modal", protocol="asynchronous",
         )
         cold = run_batch([job], workers=1, cache=cache_dir)
         assert cold.results[0].verdict == "schedulable"
@@ -506,7 +513,8 @@ class TestModalJobs:
         path = tmp_path / "plant.aadl"
         path.write_text(self._source())
         job = AnalysisJob.from_file(
-            str(path), modal=True, protocol="asynchronous"
+            str(path), modes="modal", protocol="asynchronous"
         )
-        assert job.kind == "modal"
-        assert job.options["protocol"] == "asynchronous"
+        assert job.kind == "analysis"
+        assert job.request.modes == "modal"
+        assert job.request.protocol == "asynchronous"

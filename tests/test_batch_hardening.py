@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.aadl.gallery import cruise_control_text
+from repro.analysis.request import AnalysisRequest
 from repro.batch import (
     BATCH_FAULTS,
     WORKER_DIED,
@@ -27,11 +28,13 @@ from repro.batch.cache import CACHE_SCHEMA_VERSION
 
 
 def job(text=None, job_id="cc", max_states=200_000, fault=None, **kwargs):
-    j = AnalysisJob.from_aadl(
-        text or cruise_control_text(),
+    j = AnalysisJob.from_request(
+        AnalysisRequest(
+            source=text or cruise_control_text(),
+            max_states=max_states,
+            **kwargs,
+        ),
         job_id=job_id,
-        max_states=max_states,
-        **kwargs,
     )
     if fault:
         j.options["batch_fault"] = fault
@@ -277,5 +280,5 @@ class TestServeBundleReplay:
         path = tmp_path / "bundle.json"
         path.write_text(json.dumps(bundle))
         replayed = AnalysisJob.from_file(str(path))
-        assert replayed.kind == "aadl"
+        assert replayed.kind == "analysis"
         assert cache_key(replayed) == cache_key(source)

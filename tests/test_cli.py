@@ -282,9 +282,8 @@ class TestModalCli:
         out = capsys.readouterr().out
         assert "transition(s) checked" in out
 
-    def test_modal_unschedulable_transient_exit_one(
-        self, tmp_path, capsys
-    ):
+    @staticmethod
+    def _heavy_file(tmp_path):
         from repro.aadl.gallery import fault_recovery_text
 
         # Make the recovery workload heavy enough that the switch
@@ -296,6 +295,12 @@ class TestModalCli:
         )
         path = tmp_path / "heavy.aadl"
         path.write_text(source)
+        return path
+
+    def test_modal_unschedulable_transient_exit_one(
+        self, tmp_path, capsys
+    ):
+        path = self._heavy_file(tmp_path)
         assert (
             main(
                 [
@@ -311,6 +316,19 @@ class TestModalCli:
         assert (
             "recovery -[monitor.done]-> nominal: unschedulable" in out
         )
+
+    @pytest.mark.parametrize("flag", ["--compose", "--hier"])
+    def test_modal_under_a_decomposition_is_usage_error(
+        self, tmp_path, capsys, flag
+    ):
+        """--modal used to be dropped silently under --compose (a
+        schedulable verdict for the initial mode only) and preempted by
+        --hier; no layer checks transitions per island or partition."""
+        path = self._heavy_file(tmp_path)
+        argv = ["analyze", str(path), "--modal", "--protocol", "asynchronous"]
+        assert main(argv + [flag]) == 2
+        err = capsys.readouterr().err
+        assert "--modal" in err and flag in err
 
     def test_modal_on_modeless_model_is_usage_error(
         self, cc_file, capsys

@@ -16,6 +16,7 @@ from repro.aadl.gallery import (
 )
 from repro.aadl.properties import DispatchProtocol, SchedulingProtocol, ms
 from repro.analysis import Verdict, analyze_model
+from repro.analysis.request import AnalysisRequest, IslandSpec
 from repro.batch import AnalysisJob, execute_job
 from repro.batch.cache import cache_key
 from repro.compose import (
@@ -302,7 +303,7 @@ class TestCombination:
             ],
         )
         assert result.verdict is Verdict.SCHEDULABLE
-        assert result.total_states == 20
+        assert result.num_states == 20
 
     def test_any_unschedulable_wins_and_names_island(self):
         partition = partition_instance(dual_island())
@@ -350,12 +351,12 @@ class TestIslandJobs:
         from repro.aadl import format_model
 
         inst = dual_island()
-        return AnalysisJob.from_island(
-            format_model(inst.declarative),
-            root="DualIsland.impl",
-            label=label,
-            threads=threads,
-            processors=processors,
+        return AnalysisJob.from_request(
+            AnalysisRequest(
+                source=format_model(inst.declarative),
+                root="DualIsland.impl",
+                island=IslandSpec(label, threads, processors),
+            )
         )
 
     def test_execute_island_job(self):
@@ -366,7 +367,7 @@ class TestIslandJobs:
             )
         )
         assert result.verdict == "schedulable"
-        assert result.kind == "island"
+        assert result.kind == "analysis"
         assert result.states > 0
 
     def test_cache_keys_differ_per_island(self):
@@ -405,7 +406,7 @@ class TestIslandJobs:
             threads=["DualIsland.fast"], processors=["DualIsland.cpu1"]
         )
         clone = AnalysisJob.from_dict(job.to_dict())
-        assert clone.kind == "island"
+        assert clone.request.island == job.request.island
         assert clone.payload == job.payload
 
 
@@ -421,7 +422,7 @@ class TestAnalyzeCompositionally:
         assert composed.compositional
         assert composed.verdict is monolithic.verdict
         # The whole point: sum of islands < product state space.
-        assert composed.total_states < monolithic.num_states
+        assert composed.num_states < monolithic.num_states
 
     def test_unschedulable_island_surfaces_counterexample(self):
         composed = analyze_compositionally(

@@ -14,6 +14,7 @@ import pytest
 from repro.aadl.builder import SystemBuilder
 from repro.aadl.gallery import arinc_partitions, arinc_partitions_text
 from repro.analysis import Verdict
+from repro.analysis.request import AnalysisRequest
 from repro.batch.cache import cache_key
 from repro.batch.jobs import AnalysisJob, execute_job
 from repro.errors import HierError, TranslationError
@@ -332,23 +333,29 @@ class TestWiring:
         assert monitor.host_processor is monitor.bound_processor
 
 
+def hier_job(source, **fields):
+    return AnalysisJob.from_request(
+        AnalysisRequest(source=source, decomposition="hier", **fields)
+    )
+
+
 class TestBatchHier:
     def test_hier_job_executes(self):
-        job = AnalysisJob.from_hier(arinc_partitions_text())
+        job = hier_job(arinc_partitions_text())
         result = execute_job(job)
         assert result.verdict == "schedulable"
         assert result.stats["hier_interface_hits"] == 2
 
     def test_cache_key_tracks_interface_parameters(self):
         source = arinc_partitions_text()
-        base = cache_key(AnalysisJob.from_hier(source))
+        base = cache_key(hier_job(source))
         tweaked = source.replace(
             "Execution_Time => 5 ms;", "Execution_Time => 4 ms;", 1
         )
-        assert cache_key(AnalysisJob.from_hier(tweaked)) != base
+        assert cache_key(hier_job(tweaked)) != base
         assert (
             cache_key(
-                AnalysisJob.from_hier(source, fault="inflate-alpha")
+                hier_job(source, fault="inflate-alpha")
             )
             != base
         )
@@ -359,5 +366,5 @@ class TestBatchHier:
         from repro.aadl.printer import format_model
 
         source = format_model(b.declarative())
-        honest = execute_job(AnalysisJob.from_hier(source))
+        honest = execute_job(hier_job(source))
         assert honest.verdict == "unschedulable"

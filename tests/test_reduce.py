@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from repro.aadl import format_model
 from repro.analysis import Verdict, analyze_model
+from repro.analysis.request import AnalysisRequest
 from repro.batch import AnalysisJob
 from repro.batch.cache import cache_key
 from repro.cli import main
@@ -281,26 +282,26 @@ class TestAnalysisEquivalence:
         assert result.verdict is analyze_model(replicated).verdict
 
 
+def _job(source, **fields):
+    return AnalysisJob.from_request(AnalysisRequest(source=source, **fields))
+
+
 class TestBatchCacheKeys:
     def test_reduced_jobs_get_distinct_cache_keys(self):
         source = "system S\nend S;\n"
-        plain = AnalysisJob.from_aadl(source, root="S.impl")
-        reduced = AnalysisJob.from_aadl(
-            source, root="S.impl", reduce="sym,por"
-        )
-        assert "reduce" not in plain.options
-        assert reduced.options["reduce"] == "sym,por"
+        plain = _job(source, root="S.impl")
+        reduced = _job(source, root="S.impl", reduce="sym,por")
+        assert "reduce" not in plain.payload
+        assert reduced.payload["reduce"] == "sym,por"
         assert cache_key(plain) != cache_key(reduced)
 
     def test_unreduced_key_is_unchanged_by_the_feature(self):
-        """``reduce=None`` must leave the options dict exactly as the
-        pre-reduction code built it, preserving old cache entries."""
+        """``reduce=None`` must leave the request exactly as an
+        unreduced one, so the two share cache entries."""
         source = "system S\nend S;\n"
-        plain = AnalysisJob.from_aadl(source, root="S.impl")
-        explicit = AnalysisJob.from_aadl(
-            source, root="S.impl", reduce=None
-        )
-        assert plain.options == explicit.options
+        plain = _job(source, root="S.impl")
+        explicit = _job(source, root="S.impl", reduce=None)
+        assert plain.payload == explicit.payload
         assert cache_key(plain) == cache_key(explicit)
 
 

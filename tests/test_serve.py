@@ -128,13 +128,15 @@ class TestContracts:
 
     def test_job_from_request_shapes(self):
         job = job_from_request({"source": cruise_control_text()})
-        assert job.kind == "aadl"
+        assert job.kind == "analysis"
+        assert job.request.tiers is None
         replay = job_from_request({"job": job.to_dict()})
         assert cache_key(replay) == cache_key(job)
         portfolio = job_from_request(
             {"source": cruise_control_text(), "portfolio": True}
         )
-        assert portfolio.kind == "portfolio"
+        assert portfolio.kind == "analysis"
+        assert portfolio.request.tiers == "default"
 
     @pytest.mark.parametrize("body", [
         [],  # not an object
@@ -431,7 +433,7 @@ class TestServiceDirect:
     def test_submit_requires_start(self):
         service = AnalysisService(cache=None, artifacts_dir=None)
         with pytest.raises(ServeError):
-            service.submit(AnalysisJob.from_aadl(cruise_control_text()))
+            service.submit(job_from_request({"source": cruise_control_text()}))
 
     def test_backpressure_error_is_serve_error(self):
         assert issubclass(BackpressureError, ServeError)
