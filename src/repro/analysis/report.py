@@ -17,7 +17,7 @@ from repro.errors import SchedError
 from repro.sched.demand import edf_schedulable
 from repro.sched.rta import response_times, rta_schedulable
 from repro.sched.simulation import simulate
-from repro.sched.taskmodel import extract_task_set
+from repro.sched.taskmodel import FIXED_PRIORITY_ORDERING, extract_task_set
 from repro.sched.utilization import (
     hyperbolic_bound_test,
     liu_layland_test,
@@ -114,16 +114,8 @@ def compare_with_baselines(
         )
         return rows
 
-    if protocol in (
-        SchedulingProtocol.RATE_MONOTONIC,
-        SchedulingProtocol.DEADLINE_MONOTONIC,
-        SchedulingProtocol.HIGHEST_PRIORITY_FIRST,
-    ):
-        ordering = {
-            SchedulingProtocol.RATE_MONOTONIC: "rate",
-            SchedulingProtocol.DEADLINE_MONOTONIC: "deadline",
-            SchedulingProtocol.HIGHEST_PRIORITY_FIRST: "explicit",
-        }[protocol]
+    if protocol in FIXED_PRIORITY_ORDERING:
+        ordering = FIXED_PRIORITY_ORDERING[protocol]
         for name, test in (
             ("utilization-LL", liu_layland_test),
             ("utilization-hyperbolic", hyperbolic_bound_test),

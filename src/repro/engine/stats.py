@@ -65,7 +65,8 @@ class EngineStats:
         hier_interface_hits: partitions the analytic demand-vs-supply
             check settled (no flattened simulation needed).
         hier_sim_escalations: partitions that fell through to the
-            supply-aware flattened simulation.
+            supply-aware flattened simulation (one over its server
+            share is decided there without a run).
         modal_transitions_checked: mode transitions whose transient was
             analyzed (:mod:`repro.modal`).  Zero outside modal runs.
         modal_transient_escalations: transitions the analytic union

@@ -19,7 +19,6 @@ from repro.hier.check import (
 from repro.hier.flatten import (
     DEFAULT_MAX_WINDOW,
     FlattenedRun,
-    flattened_window,
     simulate_partition,
 )
 from repro.hier.interface import HIER_FAULTS, BdrInterface
@@ -35,6 +34,5 @@ __all__ = [
     "check_partition",
     "check_partition_edf",
     "check_partition_fp",
-    "flattened_window",
     "simulate_partition",
 ]

@@ -20,7 +20,8 @@ The three stages mirror the :data:`repro.obs.schema.HIER_STAGES` spans:
    cannot settle, the supply-aware flattened simulation
    (:mod:`repro.hier.flatten`) decides exactly for the end-of-period
    server semantics; a window past the cap demotes to UNKNOWN rather
-   than truncating.
+   than truncating.  A partition whose utilization exceeds its server
+   share ``Q / P`` is unschedulable without a run.
 
 The verdict is the conjunction over partitions and hosts, packaged as
 an ordinary :class:`~repro.analysis.schedulability.AnalysisResult` so
@@ -30,6 +31,7 @@ the CLI, batch pool and report consume it unchanged.
 from __future__ import annotations
 
 import time
+from fractions import Fraction
 from typing import Dict, List, Optional
 
 from repro.aadl.instance import SystemInstance
@@ -38,7 +40,7 @@ from repro.analysis.schedulability import AnalysisResult, Verdict
 from repro.engine.result import ExplorationResult
 from repro.engine.stats import EngineStats
 from repro.errors import HierError
-from repro.hier.check import check_partition
+from repro.hier.check import check_partition, fractional_utilization
 from repro.hier.flatten import DEFAULT_MAX_WINDOW, simulate_partition
 from repro.hier.interface import BdrInterface
 from repro.sched.simulation import simulate
@@ -164,6 +166,21 @@ def analyze_hier(
         # the flattened supply-aware run decides exactly for the
         # end-of-period server semantics.
         sim_escalations += 1
+        # A partition demanding more than its server's share builds
+        # backlog without bound: unschedulable without a run, like a
+        # host with U > 1 (with offsets no finite window is exact).
+        # The share is the true Q/P, not the interface's alpha, which a
+        # fault may have inflated.
+        util = fractional_utilization(unit.tasks)
+        share = Fraction(unit.interface.budget, unit.interface.period)
+        if util > share:
+            verdicts.append(Verdict.UNSCHEDULABLE)
+            trail.append(
+                f"hier: {unit.processor} over-subscribed (U={util} > "
+                f"Q/P={share} under server "
+                f"({unit.interface.period},{unit.interface.budget}))"
+            )
+            continue
         with tracer.span("hier.flatten", partition=unit.processor) as span:
             run = simulate_partition(
                 unit.tasks,

@@ -67,7 +67,7 @@ def check_partition_edf(
             f"U={util} exceeds availability factor alpha={interface.alpha}",
         )
     max_deadline = max(task.deadline for task in tasks)
-    cycle = _lcm(tasks.hyperperiod, interface.period)
+    cycle = math.lcm(tasks.hyperperiod, interface.period)
     horizon = max(interface.delta, max_deadline) + cycle
     for t in _deadline_points(tasks, horizon):
         demand = demand_bound_function(tasks, t)
@@ -86,12 +86,7 @@ def check_partition_fp(
     tasks: TaskSet, interface: BdrInterface, ordering: str
 ) -> PartitionCheck:
     """Per-task time-demand against ``sbf`` at the critical instant."""
-    if ordering == "rate":
-        ordered = tasks.by_rate_monotonic()
-    elif ordering == "deadline":
-        ordered = tasks.by_deadline_monotonic()
-    else:
-        ordered = tasks.by_explicit_priority()
+    ordered = tasks.ordered(ordering)
     for index, task in enumerate(ordered):
         higher = ordered[:index]
         if not _fp_task_fits(task, higher, interface):
@@ -155,6 +150,3 @@ def _deadline_points(tasks: TaskSet, horizon: int) -> List[int]:
             deadline += task.period
     return sorted(points)
 
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)

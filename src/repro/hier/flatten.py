@@ -16,20 +16,24 @@ interface check fails) is ordinary interface conservatism.  The hier
 oracle campaign (:mod:`repro.oracle.hier`) gates on exactly that
 asymmetry.
 
-The run is exact for its semantics: the simulated window covers
-``O_max + 2 * lcm(H, P)`` -- the joint repetition period of the task
-releases and the supply pattern, with the Leung--Merrill lead-in --
-after which a miss-free schedule repeats forever.  A window above the
-caller's cap returns None (UNKNOWN) instead of silently truncating.
+The run is exact for its semantics: the simulated window is
+:func:`~repro.sched.simulation.exact_simulation_horizon` with the
+server as supply, ``O_max + 2 * lcm(H, P)`` -- the joint repetition
+period of the task releases and the supply pattern, with the
+Leung--Merrill lead-in -- after which a miss-free schedule repeats
+forever.  The exception is an offset-bearing set whose utilization
+exceeds the server share ``Q / P``: its backlog grows without bound,
+no finite window is exact, and the run reports it unschedulable
+without simulating.  A window above the caller's cap returns None
+(UNKNOWN) instead of silently truncating.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Tuple
 
 from repro.errors import SchedError
-from repro.sched.simulation import _Job, _pick
+from repro.sched.simulation import exact_simulation_horizon, run_schedule
 from repro.sched.taskmodel import TaskSet
 
 #: Windows above this many quanta report UNKNOWN rather than running a
@@ -53,7 +57,9 @@ class FlattenedRun:
         self.horizon = horizon
         self.misses = misses
         #: True/False when the window was simulated; None when it
-        #: exceeded the cap and the run never started (UNKNOWN)
+        #: exceeded the cap and the run never started (UNKNOWN); False
+        #: with no misses and horizon 0 for an offset-bearing set over
+        #: the server share, decided without a run
         self.schedulable = schedulable
         self.supply_slots = supply_slots
 
@@ -62,13 +68,6 @@ class FlattenedRun:
             f"FlattenedRun(horizon={self.horizon}, "
             f"schedulable={self.schedulable})"
         )
-
-
-def flattened_window(tasks: TaskSet, server_period: int) -> int:
-    """The exact window: lead-in plus twice the joint repetition period."""
-    max_offset = max(task.offset for task in tasks)
-    cycle = _lcm(tasks.hyperperiod, server_period)
-    return max_offset + 2 * cycle
 
 
 def simulate_partition(
@@ -91,51 +90,16 @@ def simulate_partition(
             f"server budget {server_budget} out of range "
             f"[1, {server_period}]"
         )
-    horizon = flattened_window(tasks, server_period)
+    supply = (server_period, server_budget)
+    horizon = exact_simulation_horizon(tasks, supply=supply)
+    if horizon is None:  # offsets and U > Q/P: unbounded backlog
+        return FlattenedRun(0, [], False, 0)
     if horizon > max_window:
         return FlattenedRun(horizon, [], None, 0)
-
-    static_rank = {}
-    if policy in ("rate", "deadline", "explicit"):
-        if policy == "rate":
-            ordered = tasks.by_rate_monotonic()
-        elif policy == "deadline":
-            ordered = tasks.by_deadline_monotonic()
-        else:
-            ordered = tasks.by_explicit_priority()
-        static_rank = {task.name: idx for idx, task in enumerate(ordered)}
-    elif policy not in ("edf", "llf"):
-        raise SchedError(f"unknown policy {policy!r}")
-
-    ready: List[_Job] = []
-    misses: List[Tuple[str, int]] = []
-    supply_slots = 0
-    blackout = server_period - server_budget
-    for now in range(horizon):
-        for task in tasks:
-            if now >= task.offset and (now - task.offset) % task.period == 0:
-                ready.append(_Job(task, now))
-        still_ready: List[_Job] = []
-        for job in ready:
-            if job.remaining > 0 and now >= job.deadline:
-                misses.append((job.task.name, job.deadline))
-                continue  # abandon, as the plain simulator does
-            still_ready.append(job)
-        ready = still_ready
-        if now % server_period < blackout:
-            continue  # server holds no budget: the partition starves
-        supply_slots += 1
-        running = _pick(ready, policy, static_rank, now)
-        if running is None:
-            continue
-        running.remaining -= 1
-        if running.remaining == 0:
-            ready.remove(running)
-    for job in ready:
-        if job.remaining > 0 and job.deadline <= horizon:
-            misses.append((job.task.name, job.deadline))
-    return FlattenedRun(horizon, misses, not misses, supply_slots)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
+    run = run_schedule(
+        [(task, task.offset, None) for task in tasks],
+        policy=policy,
+        window=horizon,
+        supply=supply,
+    )
+    return FlattenedRun(horizon, run.misses, run.schedulable, run.supply_slots)

@@ -24,8 +24,11 @@ on the mode-change protocol:
   2. **escalation (exact over the window)**: simulate the actual
      switch at *every* boundary phasing in one old-mode hyperperiod,
      old tasks ceasing release at the switch but completing in-flight
-     jobs, new tasks released from the switch on.  Caps on phasings
-     and window length return UNKNOWN rather than guess.
+     jobs, new tasks released from the switch on.  Each phasing is
+     one :func:`~repro.sched.simulation.run_schedule` call over the
+     :func:`~repro.sched.simulation.exact_simulation_horizon` window,
+     with the switch and the carry-over deadlines as lead-in.  Caps on
+     phasings and window length return UNKNOWN rather than guess.
 
 ``fault="shrink-transient-window"`` deliberately corrupts step 2 into
 the classic unsound shortcut -- drop carry-over jobs at the switch and
@@ -40,6 +43,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import AnalysisError, SchedError
 from repro.sched.demand import edf_schedulable
 from repro.sched.rta import rta_schedulable
+from repro.sched.simulation import (
+    Release,
+    exact_simulation_horizon,
+    run_schedule,
+)
 from repro.sched.taskmodel import PeriodicTask, TaskSet
 
 #: Recognized mode-change protocols, in CLI order.
@@ -173,67 +181,23 @@ def simulate_transition(
     both modes keep their old-mode release pattern uninterrupted.
     Returns ``(schedulable, first-miss detail)`` over ``[0, window)``.
     """
-    old_by_name = {t.name: t for t in old_tasks}
-    new_by_name = {t.name: t for t in new_tasks}
-    continued = set(old_by_name) & set(new_by_name)
-    tasks = list(old_tasks) + [
-        t for t in new_tasks if t.name not in continued
+    continued = {t.name for t in old_tasks} & {t.name for t in new_tasks}
+    releases: List[Release] = [
+        (t, t.offset, None if t.name in continued else switch)
+        for t in old_tasks
     ]
-
-    static_rank: Dict[str, int] = {}
-    if policy in ("rate", "deadline", "explicit"):
-        union = TaskSet(tasks)
-        if policy == "rate":
-            ordered = union.by_rate_monotonic()
-        elif policy == "deadline":
-            ordered = union.by_deadline_monotonic()
-        else:
-            ordered = union.by_explicit_priority()
-        static_rank = {task.name: idx for idx, task in enumerate(ordered)}
-    elif policy not in ("edf", "llf"):
-        raise SchedError(f"unknown policy {policy!r}")
-
-    from repro.sched.simulation import _Job, _pick
-
-    ready: List[_Job] = []
-    for now in range(window):
-        for task in old_tasks:
-            released = (
-                now >= task.offset
-                and (now - task.offset) % task.period == 0
-            )
-            if released and (now < switch or task.name in continued):
-                ready.append(_Job(task, now))
-        for task in new_tasks:
-            if task.name in continued:
-                continue
-            start = switch + task.offset
-            if now >= start and (now - start) % task.period == 0:
-                ready.append(_Job(task, now))
-
-        still_ready: List[_Job] = []
-        for job in ready:
-            if job.remaining > 0 and now >= job.deadline:
-                return False, (
-                    f"{job.task.name} misses at t={job.deadline} "
-                    f"(switch at t={switch})"
-                )
-            still_ready.append(job)
-        ready = still_ready
-
-        running = _pick(ready, policy, static_rank, now)
-        if running is not None:
-            running.remaining -= 1
-            if running.remaining == 0:
-                ready.remove(running)
-
-    for job in ready:
-        if job.remaining > 0 and job.deadline <= window:
-            return False, (
-                f"{job.task.name} misses at t={job.deadline} "
-                f"(switch at t={switch})"
-            )
-    return True, None
+    releases += [
+        (t, switch + t.offset, None)
+        for t in new_tasks
+        if t.name not in continued
+    ]
+    run = run_schedule(
+        releases, policy=policy, window=window, stop_at_first_miss=True
+    )
+    if run.schedulable:
+        return True, None
+    name, deadline = run.misses[0]
+    return False, f"{name} misses at t={deadline} (switch at t={switch})"
 
 
 def check_transition(
@@ -280,7 +244,7 @@ def check_transition(
             escalated=True,
         )
 
-    old_hyper = TaskSet(list(old_tasks)).hyperperiod if old_tasks else 1
+    old_hyper = TaskSet(list(old_tasks)).hyperperiod
     if old_hyper > max_phasings:
         return TransientCheck(
             None,
@@ -289,13 +253,11 @@ def check_transition(
             f"{max_phasings}",
             escalated=True,
         )
-    new_hyper = TaskSet(list(new_tasks)).hyperperiod if new_tasks else 1
+    new_set = TaskSet(list(new_tasks))
     max_old_deadline = max(
         (t.offset + t.deadline for t in old_tasks), default=0
     )
-    max_new_offset = max((t.offset for t in new_tasks), default=0)
     for switch in range(old_hyper):
-        window = switch + max_old_deadline + max_new_offset + 2 * new_hyper
         if fault == "shrink-transient-window":
             # The unsound shortcut under test: pretend the switch is a
             # clean restart -- no carry-over, and only a sliver of the
@@ -305,9 +267,23 @@ def check_transition(
                 list(new_tasks),
                 switch=switch,
                 policy=policy,
-                window=switch + max(1, new_hyper // 2),
+                window=switch + max(1, new_set.hyperperiod // 2),
             )
         else:
+            # The new mode's releases start after the switch and the
+            # old mode's carry-over deadlines.
+            window = exact_simulation_horizon(
+                new_set, lead_in=switch + max_old_deadline
+            )
+            if window is None:
+                return TransientCheck(
+                    False,
+                    "transient-simulation",
+                    f"new mode over-utilized with offsets "
+                    f"(U={new_set.utilization:.4f} > 1): backlog grows "
+                    f"without bound",
+                    escalated=True,
+                )
             if window > max_window:
                 return TransientCheck(
                     None,

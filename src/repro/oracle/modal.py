@@ -70,8 +70,9 @@ def _reference_transition(
     phasing of the old mode's hyperperiod, carry-over included, full
     window -- no analytic shortcut, no fault.  None when a cap is hit
     or the task model is unavailable."""
-    from repro.sched.taskmodel import TaskSet
     from repro.modal.transient import simulate_transition
+    from repro.sched.simulation import exact_simulation_horizon
+    from repro.sched.taskmodel import TaskSet
 
     old_units = mode_units.get(edge.source.lower())
     new_units = mode_units.get(edge.target.lower())
@@ -86,18 +87,19 @@ def _reference_transition(
             return None
         old_tasks = list(old_unit.tasks) if old_unit else []
         new_tasks = list(new_unit.tasks) if new_unit else []
-        old_hyper = TaskSet(old_tasks).hyperperiod if old_tasks else 1
-        new_hyper = TaskSet(new_tasks).hyperperiod if new_tasks else 1
+        old_hyper = TaskSet(old_tasks).hyperperiod
         if old_hyper > max_phasings:
             return None
+        new_set = TaskSet(new_tasks)
         max_old_deadline = max(
             (t.offset + t.deadline for t in old_tasks), default=0
         )
-        max_new_offset = max((t.offset for t in new_tasks), default=0)
         for switch in range(old_hyper):
-            window = (
-                switch + max_old_deadline + max_new_offset + 2 * new_hyper
+            window = exact_simulation_horizon(
+                new_set, lead_in=switch + max_old_deadline
             )
+            if window is None:
+                return False  # the new mode alone outgrows the processor
             if window > max_window:
                 return None
             ok, _ = simulate_transition(

@@ -34,8 +34,8 @@ from repro.errors import SchedError
 from repro.oracle.case import OracleCase
 from repro.sched.demand import edf_schedulable
 from repro.sched.rta import rta_exactness, rta_schedulable
-from repro.sched.simulation import simulate
-from repro.sched.taskmodel import TaskSet
+from repro.sched.simulation import exact_simulation_horizon, simulate
+from repro.sched.taskmodel import FIXED_PRIORITY_ORDERING, TaskSet
 from repro.sched.utilization import hyperbolic_bound_test, liu_layland_test
 
 #: A fault transforms the task set handed to the *pipeline* side only,
@@ -151,19 +151,6 @@ def run_pipeline(
     return analyze_model(instance, max_states=max_states, observers=observers)
 
 
-def _simulation_horizon(tasks: TaskSet) -> Optional[int]:
-    """Exact simulation window: ``O_max + 2H`` for offset sets (Leung &
-    Merrill), one hyperperiod for synchronous ones; ``None`` when the
-    backlog of an over-utilized asynchronous set may defer the first
-    miss past any fixed window."""
-    max_offset = max(task.offset for task in tasks)
-    if max_offset == 0:
-        return tasks.hyperperiod
-    if tasks.utilization > 1.0 + 1e-12:
-        return None
-    return max_offset + 2 * tasks.hyperperiod
-
-
 def classical_verdicts(case: OracleCase) -> List[OracleVerdict]:
     """Run every applicable classical analysis, tagged with its relation
     to the pipeline verdict (see the module docstring)."""
@@ -183,14 +170,8 @@ def classical_verdicts(case: OracleCase) -> List[OracleVerdict]:
         )
     )
 
-    fixed_priority = {
-        SchedulingProtocol.RATE_MONOTONIC: "rate",
-        SchedulingProtocol.DEADLINE_MONOTONIC: "deadline",
-        SchedulingProtocol.HIGHEST_PRIORITY_FIRST: "explicit",
-    }
-
-    if protocol in fixed_priority:
-        ordering = fixed_priority[protocol]
+    if protocol in FIXED_PRIORITY_ORDERING:
+        ordering = FIXED_PRIORITY_ORDERING[protocol]
         if protocol is SchedulingProtocol.RATE_MONOTONIC:
             for name, test in (
                 ("utilization-ll", liu_layland_test),
@@ -244,7 +225,7 @@ def classical_verdicts(case: OracleCase) -> List[OracleVerdict]:
         sim_policy = None
 
     if sim_policy is not None:
-        horizon = _simulation_horizon(tasks)
+        horizon = exact_simulation_horizon(tasks)
         if horizon is None:
             verdicts.append(
                 OracleVerdict(

@@ -34,16 +34,13 @@ from repro.aadl.properties import (
 )
 from repro.errors import HierError, QuantizationError, SchedError
 from repro.hier.interface import BdrInterface
-from repro.sched.taskmodel import PeriodicTask, TaskSet, extract_task_set
+from repro.sched.taskmodel import (
+    FIXED_PRIORITY_ORDERING,
+    PeriodicTask,
+    TaskSet,
+    extract_task_set,
+)
 from repro.translate.quantum import TimingQuantizer
-
-#: Fixed-priority protocols and the task ordering each induces.
-FIXED_PRIORITY_ORDERING = {
-    SchedulingProtocol.RATE_MONOTONIC: "rate",
-    SchedulingProtocol.DEADLINE_MONOTONIC: "deadline",
-    SchedulingProtocol.HIGHEST_PRIORITY_FIRST: "explicit",
-}
-
 
 class AnalyticUnit:
     """One scheduling context's independent task set, ready for tests.

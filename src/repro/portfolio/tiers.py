@@ -262,9 +262,10 @@ class EdfDemandTier(Tier):
 class SimulationTier(Tier):
     """Worst-case scheduler simulation over the exact window.
 
-    One hyperperiod for synchronous sets, ``O_max + 2H`` for
-    offset-bearing ones (Leung & Merrill) -- within that window the
-    single worst-case run decides exactly.  LLF is excluded, mirroring
+    :func:`~repro.sched.simulation.exact_simulation_horizon`: one
+    hyperperiod for synchronous sets, ``O_max + 2H`` for offset-bearing
+    ones (Leung & Merrill) -- within that window the single worst-case
+    run decides exactly.  LLF is excluded, mirroring
     the oracle (its tie-breaking need not match the ACSR encoding), and
     windows past ``max_horizon`` escalate instead of stalling."""
 
@@ -284,7 +285,9 @@ class SimulationTier(Tier):
         return unit.sim_policy is not None
 
     def decide(self, unit: AnalyticUnit) -> Optional[UnitDecision]:
-        horizon = self._exact_horizon(unit)
+        # None when U > 1 with offsets: the utilization-cap tier
+        # already decided those.
+        horizon = exact_simulation_horizon(unit.tasks)
         if horizon is None or horizon > self.max_horizon:
             return None
         sim = simulate(
@@ -301,13 +304,6 @@ class SimulationTier(Tier):
                 scenario_from_simulation(unit.tasks, sim),
             )
         return UnitDecision(True, f"clean run over horizon {horizon}")
-
-    @staticmethod
-    def _exact_horizon(unit: AnalyticUnit) -> Optional[int]:
-        # Shared with ``simulate()``'s default window: one hyperperiod
-        # synchronous, Leung-Merrill ``O_max + 2H`` with offsets, None
-        # when U > 1 (the utilization-cap tier already decided these).
-        return exact_simulation_horizon(unit.tasks)
 
 
 class HierTier(Tier):

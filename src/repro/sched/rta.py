@@ -21,9 +21,8 @@ UNSCHEDULABLE conclusion.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.errors import SchedError
 from repro.sched.taskmodel import PeriodicTask, TaskSet
 
 
@@ -81,7 +80,7 @@ def rta_schedulable(tasks: TaskSet, *, ordering: str = "rate") -> bool:
     ``ordering``: ``"rate"`` (RM), ``"deadline"`` (DM) or ``"explicit"``
     (the Priority property).
     """
-    ordered = _ordered(tasks, ordering)
+    ordered = tasks.ordered(ordering)
     for index, task in enumerate(ordered):
         response = response_time(task, ordered[:index])
         if response is None or response > task.deadline:
@@ -110,7 +109,7 @@ def response_times(
         limit = max(
             tasks.hyperperiod, max(task.deadline for task in tasks)
         )
-    ordered = _ordered(tasks, ordering)
+    ordered = tasks.ordered(ordering)
     result: Dict[str, Optional[int]] = {}
     for index, task in enumerate(ordered):
         result[task.name] = response_time(
@@ -118,12 +117,3 @@ def response_times(
         )
     return result
 
-
-def _ordered(tasks: TaskSet, ordering: str) -> List[PeriodicTask]:
-    if ordering == "rate":
-        return tasks.by_rate_monotonic()
-    if ordering == "deadline":
-        return tasks.by_deadline_monotonic()
-    if ordering == "explicit":
-        return tasks.by_explicit_priority()
-    raise SchedError(f"unknown priority ordering {ordering!r}")

@@ -17,8 +17,17 @@ from repro.aadl.properties import (
     DISPATCH_PROTOCOL,
     PRIORITY,
     DispatchProtocol,
+    SchedulingProtocol,
 )
 from repro.translate.quantum import TimingQuantizer
+
+#: Fixed-priority protocols and the :meth:`TaskSet.ordered` ordering
+#: each induces.
+FIXED_PRIORITY_ORDERING = {
+    SchedulingProtocol.RATE_MONOTONIC: "rate",
+    SchedulingProtocol.DEADLINE_MONOTONIC: "deadline",
+    SchedulingProtocol.HIGHEST_PRIORITY_FIRST: "explicit",
+}
 
 
 class PeriodicTask:
@@ -126,6 +135,18 @@ class TaskSet:
                     f"task {task.name} has no explicit priority"
                 )
         return sorted(self.tasks, key=lambda t: (-t.priority, t.name))
+
+    def ordered(self, ordering: str) -> List[PeriodicTask]:
+        """Tasks highest-priority-first under ``ordering``: ``"rate"``
+        (RM), ``"deadline"`` (DM) or ``"explicit"`` (the Priority
+        property)."""
+        if ordering == "rate":
+            return self.by_rate_monotonic()
+        if ordering == "deadline":
+            return self.by_deadline_monotonic()
+        if ordering == "explicit":
+            return self.by_explicit_priority()
+        raise SchedError(f"unknown priority ordering {ordering!r}")
 
     def __repr__(self) -> str:
         return f"TaskSet({self.tasks!r})"

@@ -17,7 +17,7 @@ from repro.analysis import Verdict
 from repro.analysis.request import AnalysisRequest
 from repro.batch.cache import cache_key
 from repro.batch.jobs import AnalysisJob, execute_job
-from repro.errors import HierError, TranslationError
+from repro.errors import HierError, SchedError, TranslationError
 from repro.hier import (
     BdrInterface,
     analyze_hier,
@@ -25,9 +25,9 @@ from repro.hier import (
     check_partition_edf,
     check_partition_fp,
     derive_interfaces,
-    flattened_window,
     simulate_partition,
 )
+from repro.sched.simulation import exact_simulation_horizon
 from repro.sched.taskmodel import PeriodicTask, TaskSet
 
 
@@ -151,11 +151,18 @@ class TestPartitionChecks:
         check = check_partition(TaskSet([]), iface, ordering="rate")
         assert check.ok
 
+    def test_unknown_ordering_rejected(self):
+        # A typo used to fall through to explicit priorities silently.
+        tasks = TaskSet([PeriodicTask("a", 1, 40, priority=1)])
+        iface = BdrInterface.from_server("p", 10, 5)
+        with pytest.raises(SchedError, match="unknown priority ordering"):
+            check_partition_fp(tasks, iface, "typo")
+
 
 class TestFlattenedSimulation:
     def test_window_is_joint_repetition(self):
         tasks = TaskSet([PeriodicTask("a", 1, 8)])
-        assert flattened_window(tasks, 10) == 2 * 40
+        assert exact_simulation_horizon(tasks, supply=(10, 5)) == 2 * 40
 
     def test_supply_slots_match_bandwidth(self):
         tasks = TaskSet([PeriodicTask("a", 1, 10)])
@@ -230,10 +237,11 @@ class TestAnalyzeHier:
         assert result.verdict is Verdict.SCHEDULABLE
 
     def test_window_cap_gives_unknown(self):
-        # Interface check fails (demand 5 > sbf(11) = 9/7), and the
-        # flattened window 2*lcm(11, 7) = 154 exceeds the cap.
+        # Interface check fails (demand 4 > sbf(11) = 9/7), U = 4/11
+        # stays within Q/P = 3/7, and the flattened window
+        # 2*lcm(11, 7) = 154 exceeds the cap.
         instance = partitioned_builder(
-            period=7, budget=3, tasks=((5, 11),)
+            period=7, budget=3, tasks=((4, 11),)
         ).instantiate()
         result = analyze_hier(instance, max_window=16)
         assert result.verdict is Verdict.UNKNOWN
@@ -283,6 +291,88 @@ class TestAnalyzeHier:
         result = analyze_hier(b.instantiate())
         assert result.verdict is Verdict.UNSCHEDULABLE
         assert any("host" in line for line in result.tier_trail)
+
+
+#: An EDF partition granted 2 of every 3 ms whose offset threads demand
+#: U = 9/12 > 2/3.  The old window O_max + 2 lcm(H, P) = 31 shows no
+#: miss, but the backlog grows every hyperperiod: B misses at t = 32.
+OVER_SHARE_OFFSETS_AADL = """
+processor Cpu
+  properties
+    Scheduling_Protocol => RMS;
+end Cpu;
+virtual processor Part
+  properties
+    Scheduling_Protocol => EDF;
+    Period => 3 ms;
+    Execution_Time => 2 ms;
+end Part;
+thread A
+  properties
+    Dispatch_Protocol => Periodic;
+    Period => 12 ms;
+    Compute_Execution_Time => 5 ms .. 5 ms;
+    Compute_Deadline => 9 ms;
+    Dispatch_Offset => 7 ms;
+end A;
+thread B
+  properties
+    Dispatch_Protocol => Periodic;
+    Period => 12 ms;
+    Compute_Execution_Time => 4 ms .. 4 ms;
+    Compute_Deadline => 7 ms;
+    Dispatch_Offset => 1 ms;
+end B;
+system Node end Node;
+system implementation Node.impl
+  subcomponents
+    cpu: processor Cpu;
+    part: virtual processor Part;
+    a: thread A;
+    b: thread B;
+  properties
+    Actual_Processor_Binding => reference(cpu) applies to part;
+    Actual_Processor_Binding => reference(part) applies to a;
+    Actual_Processor_Binding => reference(part) applies to b;
+end Node.impl;
+"""
+
+
+class TestOverShareOffsets:
+    def _tasks(self):
+        return TaskSet(
+            [
+                PeriodicTask("A", 5, 12, deadline=9, offset=7),
+                PeriodicTask("B", 4, 12, deadline=7, offset=1),
+            ]
+        )
+
+    def test_no_exact_window_over_the_server_share(self):
+        tasks = self._tasks()
+        assert exact_simulation_horizon(tasks, supply=(3, 2)) is None
+        run = simulate_partition(tasks, 3, 2, policy="edf")
+        assert run.schedulable is False
+
+    def test_backlog_shows_past_the_old_window(self):
+        from repro.sched.simulation import run_schedule
+
+        run = run_schedule(
+            [(task, task.offset, None) for task in self._tasks()],
+            policy="edf",
+            window=8 * 31,
+            supply=(3, 2),
+        )
+        assert run.misses[0] == ("B", 32)
+
+    def test_cli_hier_reports_unschedulable(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "over_share.aadl"
+        path.write_text(OVER_SHARE_OFFSETS_AADL)
+        assert main(["analyze", str(path), "--hier"]) == 1
+        out = capsys.readouterr().out
+        assert "verdict: unschedulable" in out
+        assert "Node.part over-subscribed" in out
 
 
 class TestWiring:

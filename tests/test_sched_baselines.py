@@ -64,6 +64,29 @@ class TestTaskModel:
             "slow",
             "fast",
         ]
+        for ordering, method in (
+            ("rate", tasks.by_rate_monotonic),
+            ("deadline", tasks.by_deadline_monotonic),
+            ("explicit", tasks.by_explicit_priority),
+        ):
+            assert tasks.ordered(ordering) == method()
+        with pytest.raises(SchedError, match="unknown priority ordering"):
+            tasks.ordered("llf")
+
+    def test_protocol_table_is_shared(self):
+        from repro.aadl.properties import SchedulingProtocol
+        from repro.analysis import report
+        from repro.oracle import verdicts
+        from repro.portfolio import context
+        from repro.sched.taskmodel import FIXED_PRIORITY_ORDERING
+
+        assert FIXED_PRIORITY_ORDERING == {
+            SchedulingProtocol.RATE_MONOTONIC: "rate",
+            SchedulingProtocol.DEADLINE_MONOTONIC: "deadline",
+            SchedulingProtocol.HIGHEST_PRIORITY_FIRST: "explicit",
+        }
+        for module in (report, verdicts, context):
+            assert module.FIXED_PRIORITY_ORDERING is FIXED_PRIORITY_ORDERING
 
     def test_extract_from_instance(self):
         from repro.aadl.gallery import two_periodic_threads
