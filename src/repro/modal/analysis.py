@@ -328,25 +328,25 @@ def _asynchronous_outcome(
         old_unit = old_units.get(processor)
         new_unit = new_units.get(processor)
         unit = new_unit or old_unit
-        check = check_transition(
-            list(old_unit.tasks) if old_unit else [],
-            list(new_unit.tasks) if new_unit else [],
-            ordering=unit.ordering,
-            edf=unit.sim_policy == "edf",
-            policy=unit.sim_policy,
-            max_phasings=max_phasings,
-            max_window=max_window,
-            fault=fault,
-        )
-        if check.escalated:
-            escalated = True
-            with tracer.span(
-                "modal.transient", edge=edge.label, processor=processor
-            ) as span:
-                span.set(
-                    decided=check.decided_by,
-                    schedulable=check.schedulable,
-                )
+        with tracer.span(
+            "modal.transient", edge=edge.label, processor=processor
+        ) as span:
+            check = check_transition(
+                list(old_unit.tasks) if old_unit else [],
+                list(new_unit.tasks) if new_unit else [],
+                ordering=unit.ordering,
+                edf=unit.sim_policy == "edf",
+                policy=unit.sim_policy,
+                max_phasings=max_phasings,
+                max_window=max_window,
+                fault=fault,
+            )
+            span.set(
+                decided=check.decided_by,
+                schedulable=check.schedulable,
+                escalated=check.escalated,
+            )
+        escalated = escalated or check.escalated
         checks.append((processor, check))
         if check.schedulable is False:
             break

@@ -85,9 +85,11 @@ HIER_STAGES = (
 #: checked (reachability, trigger legality, per-edge deltas), one
 #: ``modal.steady`` per reachable mode analyzed as a steady system, one
 #: ``modal.transition`` per reachable transition checked under the
-#: mode-change protocol, and one ``modal.transient`` per transition
-#: whose analytic union test was undecided and escalated to the
-#: switch-phasing transient simulation.
+#: mode-change protocol, and one ``modal.transient`` per processor of
+#: an asynchronous transition, around its whole transient check (the
+#: analytic union test, then any switch-phasing simulation).  Its
+#: ``escalated`` attribute says whether the simulation ran, and the
+#: kernel's ``sim.*`` counters land on it.
 MODAL_STAGES = (
     "modal.automaton",
     "modal.steady",

@@ -1,6 +1,8 @@
 """Tests of the modal subsystem: the mode automaton, the transient
 machinery, and the transition-aware :func:`repro.modal.analyze_modal`."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.aadl import parse_model
@@ -268,6 +270,27 @@ class TestAnalyzeModal:
         assert result.verdict is Verdict.SCHEDULABLE
         assert result.stats.modal_transitions_checked == 3
         assert result.stats.modal_transient_escalations >= 1
+
+    def test_transient_span_times_the_check(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.obs.tracer import read_trace
+
+        model = Path(__file__).parents[1] / "examples" / "fault_recovery.aadl"
+        out = str(tmp_path / "trace.jsonl")
+        argv = ["analyze", str(model), "--modal"]
+        argv += ["--protocol", "asynchronous", "--trace", out]
+        assert main(argv) == 0
+        capsys.readouterr()
+        transient = [
+            record
+            for record in read_trace(out)
+            if record.get("name") == "modal.transient"
+            and record["attrs"]["escalated"]
+        ]
+        assert transient
+        for record in transient:
+            assert record["elapsed"] > 0
+            assert record["counters"]["sim.steps"] > 0
 
     def test_format_renders_the_transition_trail(self):
         model = parse_model(fault_recovery_text())

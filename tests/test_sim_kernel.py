@@ -19,22 +19,33 @@ The Hypothesis properties pin the kernel's three inputs against each
 other: a full-budget server is the plain simulator, a switch past the
 window is the plain run of the old mode, and a switch from an empty
 mode is the new mode shifted in time.
+
+:func:`reference_schedule` is the executable specification of the
+event-driven kernel: the unit-step loop it replaced, which one property
+compares against it field by field.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.hier.flatten import simulate_partition
 from repro.modal.transient import check_transition, simulate_transition
-from repro.sched.simulation import simulate
+from repro.obs.tracer import Tracer, activate
+from repro.sched.simulation import (
+    SimulationResult,
+    exact_simulation_horizon,
+    run_schedule,
+    simulate,
+)
 from repro.sched.taskmodel import PeriodicTask, TaskSet
 
 GOLDEN = Path(__file__).parent / "data" / "sim_golden.json"
@@ -392,6 +403,177 @@ def test_switch_from_an_empty_mode_shifts_the_new_one(
         name, time = plain.misses[0]
         shifted = time + switch
         assert detail == f"{name} misses at t={shifted} (switch at t={switch})"
+
+
+# -- the event-driven kernel against the unit-step loop --------------------
+
+
+def reference_schedule(
+    releases, *, policy, window, supply=None, stop_at_first_miss=False
+) -> SimulationResult:
+    """Simulate ``[0, window)`` one quantum at a time: the loop
+    :func:`~repro.sched.simulation.run_schedule` must reproduce."""
+    tasks = [task for task, _, _ in releases]
+    rank = None
+    if policy not in ("edf", "llf"):
+        rank = {
+            task.name: index
+            for index, task in enumerate(TaskSet(tasks).ordered(policy))
+        }
+    period, budget = supply or (1, 1)
+    blackout = period - budget
+
+    ready = []  # [task, release, deadline, remaining]
+    schedule, misses = [], []
+    response = {task.name: None for task in tasks}
+    supply_slots = 0
+
+    def pick(now):
+        if not ready:
+            return None
+        if rank is not None:
+            return min(ready, key=lambda job: (rank[job[0].name], job[1]))
+        if policy == "edf":
+            return min(ready, key=lambda job: (job[2], job[0].name))
+        return min(ready, key=lambda job: (job[2] - now - job[3], job[0].name))
+
+    for now in range(window):
+        for task, first, stop in releases:
+            if (
+                now >= first
+                and (now - first) % task.period == 0
+                and (stop is None or now < stop)
+            ):
+                ready.append([task, now, now + task.deadline, task.wcet])
+        still_ready = []
+        for job in ready:
+            if now >= job[2]:
+                misses.append((job[0].name, job[2]))
+                if stop_at_first_miss:
+                    return SimulationResult(
+                        now, schedule, misses, response, supply_slots
+                    )
+                continue
+            still_ready.append(job)
+        ready = still_ready
+        if now % period < blackout:
+            schedule.append(None)
+            continue
+        supply_slots += 1
+        running = pick(now)
+        if running is None:
+            schedule.append(None)
+            continue
+        schedule.append(running[0].name)
+        running[3] -= 1
+        if running[3] == 0:
+            finish = now + 1 - running[1]
+            seen = response[running[0].name]
+            response[running[0].name] = (
+                finish if seen is None else max(seen, finish)
+            )
+            ready.remove(running)
+    for job in ready:
+        if job[2] <= window:
+            misses.append((job[0].name, job[2]))
+    return SimulationResult(window, schedule, misses, response, supply_slots)
+
+
+def _fields(result: SimulationResult) -> dict:
+    return {
+        "horizon": result.horizon,
+        "schedule": result.schedule,
+        "misses": result.misses,
+        "response_times": result.response_times,
+        "supply_slots": result.supply_slots,
+    }
+
+
+@st.composite
+def release_patterns(draw):
+    """Releases with offsets and stops, a server and a window of at
+    least three joint periods past the settle time."""
+    rows = draw(task_rows("abcd"))
+    period = draw(st.integers(1, 6))
+    budget = draw(st.integers(1, period))
+    releases = []
+    joint, settle = period, 0
+    for task in _tasks(rows):
+        first = task.offset + draw(st.integers(0, 12))
+        stop = draw(st.one_of(st.none(), st.integers(0, 30)))
+        releases.append((task, first, stop))
+        if stop is None:
+            joint = math.lcm(joint, task.period)
+            settle = max(settle, first)
+        elif first < stop:
+            settle = max(settle, stop)
+    window = settle + draw(st.integers(3, 4)) * joint + draw(
+        st.integers(0, joint)
+    )
+    return releases, (period, budget), window
+
+
+#: Equal lattice states but for the remaining work of ``c``'s job: a
+#: state key without ``remaining`` stops this run too early.
+_REMAINING_MATTERS = (
+    [
+        (PeriodicTask("a", 1, 2, deadline=1), 0, 0),
+        (PeriodicTask("b", 1, 2, deadline=1), 0, 3),
+        (PeriodicTask("c", 2, 3), 2, None),
+    ],
+    (1, 1),
+    12,
+)
+
+
+@given(
+    pattern=release_patterns(),
+    policy=st.sampled_from(POLICIES),
+    stop_at_first_miss=st.booleans(),
+)
+@example(pattern=_REMAINING_MATTERS, policy="rate", stop_at_first_miss=False)
+def test_kernel_matches_the_unit_step_loop(pattern, policy, stop_at_first_miss):
+    releases, supply, window = pattern
+    kwargs = dict(
+        policy=policy,
+        window=window,
+        supply=supply,
+        stop_at_first_miss=stop_at_first_miss,
+    )
+    assert _fields(run_schedule(releases, **kwargs)) == _fields(
+        reference_schedule(releases, **kwargs)
+    )
+
+
+def _kernel_counters(run) -> dict:
+    tracer = Tracer()
+    with activate(tracer), tracer.span("probe") as span:
+        run()
+    return span.counters
+
+
+def test_partition_run_stops_after_one_joint_period():
+    tasks = TaskSet(
+        [
+            PeriodicTask("a", 2, 8, offset=2),
+            PeriodicTask("b", 3, 12, offset=5),
+        ]
+    )
+    joint = math.lcm(tasks.hyperperiod, 5)
+    assert exact_simulation_horizon(tasks, supply=(5, 4)) == 5 + 2 * joint
+    counters = _kernel_counters(
+        lambda: simulate_partition(tasks, 5, 4, policy="rate")
+    )
+    assert counters["sim.quanta"] == 5 + joint
+    assert counters["sim.repeat_stops"] == 1
+    assert 0 < counters["sim.steps"] < counters["sim.quanta"]
+
+
+def test_a_run_with_misses_steps_to_the_window():
+    tasks = TaskSet([PeriodicTask("a", 3, 4), PeriodicTask("b", 2, 4)])
+    counters = _kernel_counters(lambda: simulate(tasks, horizon=40))
+    assert counters["sim.quanta"] == 40
+    assert "sim.repeat_stops" not in counters
 
 
 if __name__ == "__main__":
