@@ -91,7 +91,7 @@ def test_interface_beats_island_exploration(benchmark, n_partitions):
     assert island.verdict is Verdict.SCHEDULABLE
     assert result.num_states == 0
     stats = result.exploration.stats
-    assert stats.hier_interface_hits == n_partitions
+    assert stats.counters["hier.interface_hits"] == n_partitions
     assert hier_elapsed < island_elapsed
 
     print_table(

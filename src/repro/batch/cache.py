@@ -57,8 +57,9 @@ logger = logging.getLogger(__name__)
 #: Bump on ANY change that can alter a verdict for the same model text
 #: and options (translation rules, ACSR semantics, verdict mapping...)
 #: or to the key layout itself (2: one ``analysis`` kind keyed by its
-#: request).
-CACHE_SCHEMA_VERSION = 2
+#: request) or to the stored result layout (3: ``JobResult.stats`` keeps
+#: the feature counters in one namespaced ``counters`` map).
+CACHE_SCHEMA_VERSION = 3
 
 #: Default on-disk location for cached verdicts.
 DEFAULT_CACHE_DIR = os.path.join("artifacts", "cache")

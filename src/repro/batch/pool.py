@@ -193,11 +193,11 @@ class BatchReport:
 
     @property
     def cache_hits(self) -> int:
-        return self.stats.verdict_cache_hits
+        return self.stats.counters.get("batch.verdict_cache_hits", 0)
 
     @property
     def cache_misses(self) -> int:
-        return self.stats.verdict_cache_misses
+        return self.stats.counters.get("batch.verdict_cache_misses", 0)
 
     def counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -400,17 +400,17 @@ def run_batch(
         wall_elapsed=wall,
     )
     if store is not None:
-        stats.verdict_cache_hits = store.hits - hits0
-        stats.verdict_cache_misses = store.misses - misses0
-    batch_span.set(
-        cache_hits=stats.verdict_cache_hits,
-        cache_misses=stats.verdict_cache_misses,
-    ).incr("states", stats.states)
-    batch_span.finish()
-    return BatchReport(
+        stats.counters["batch.verdict_cache_hits"] = store.hits - hits0
+        stats.counters["batch.verdict_cache_misses"] = store.misses - misses0
+    report = BatchReport(
         results=final,
         workers=n_workers,
         elapsed=wall,
         stats=stats,
         cache_dir=store.directory if store is not None else None,
     )
+    batch_span.set(
+        cache_hits=report.cache_hits, cache_misses=report.cache_misses
+    ).incr("states", stats.states)
+    batch_span.finish()
+    return report

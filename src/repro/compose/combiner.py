@@ -124,6 +124,16 @@ class CompositionResult:
                 f"({outcome.elapsed:.3f}s){cached}"
             )
         lines.append(f"verdict: {self.verdict.value}")
+        if show_stats:
+            from repro.engine.stats import EngineStats
+
+            stats = EngineStats.aggregate(
+                EngineStats.from_dict(outcome.stats)
+                for outcome in self.outcomes
+                if outcome.stats is not None
+            )
+            lines.append("engine stats:")
+            lines.extend(f"  {line}" for line in stats.format().splitlines())
         culprit = self.first_unschedulable()
         if culprit is not None and culprit.rendered:
             lines.append(f"counterexample island: {culprit.island.label}")

@@ -144,13 +144,17 @@ def explore(
 
 def _trace_reduction(tracer, stats: EngineStats) -> None:
     """Emit per-pass reduction spans summarizing this run's counters."""
-    if stats.states_canonicalized or stats.orbits_merged:
+    count = stats.counters.get
+    canonicalized = count("reduce.states_canonicalized", 0)
+    merged = count("reduce.orbits_merged", 0)
+    if canonicalized or merged:
         with tracer.span("reduce.canonicalize") as span:
-            span.incr("states_canonicalized", stats.states_canonicalized)
-            span.incr("orbits_merged", stats.orbits_merged)
-    if stats.por_pruned:
+            span.incr("states_canonicalized", canonicalized)
+            span.incr("orbits_merged", merged)
+    pruned = count("reduce.por_pruned", 0)
+    if pruned:
         with tracer.span("reduce.ample") as span:
-            span.incr("por_pruned", stats.por_pruned)
+            span.incr("por_pruned", pruned)
 
 
 def _explore(
@@ -326,17 +330,10 @@ def _explore(
         cache_hits=hits1 - hits0,
         cache_misses=misses1 - misses0,
         cache_evictions=evictions1 - evictions0,
-        states_canonicalized=(
-            reduction1.get("states_canonicalized", 0)
-            - reduction0.get("states_canonicalized", 0)
-        ),
-        orbits_merged=(
-            reduction1.get("orbits_merged", 0)
-            - reduction0.get("orbits_merged", 0)
-        ),
-        por_pruned=(
-            reduction1.get("por_pruned", 0) - reduction0.get("por_pruned", 0)
-        ),
+        counters={
+            f"reduce.{name}": count - reduction0.get(name, 0)
+            for name, count in reduction1.items()
+        },
         limit_hit=limit_hit,
     )
     result = ExplorationResult(

@@ -6,11 +6,36 @@ way to reason about why an analysis is slow or large.  The engine
 captures them in one :class:`EngineStats` snapshot attached to every
 :class:`~repro.engine.result.ExplorationResult` and rendered by the CLI
 ``--stats`` flag and the scaling benchmark.
+
+The layers around the engine (portfolio, reduction, hier, modal, batch)
+record what they did in one namespaced ``counters`` map whose dotted
+names follow the span vocabulary (``portfolio.attempts.rta``,
+``reduce.orbits_merged``, ``hier.interface_hits``...); ``docs/engine.md``
+lists every name and the layer that writes it.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Optional
+
+#: Core fields that add up when snapshots are aggregated.
+_SUMMED = (
+    "states",
+    "transitions",
+    "expanded",
+    "elapsed",
+    "parent_map_bytes",
+    "cache_hits",
+    "cache_misses",
+    "cache_evictions",
+)
+
+#: Every stored core field, in :meth:`EngineStats.as_dict` order.
+_CORE = ("strategy",) + _SUMMED + (
+    "wall_elapsed",
+    "frontier_peak",
+    "limit_hit",
+)
 
 
 class EngineStats:
@@ -40,98 +65,33 @@ class EngineStats:
         cache_hits / cache_misses / cache_evictions: aggregated over the
             provider's step, prioritization and semantics caches for
             the duration of this run only.
-        verdict_cache_hits / verdict_cache_misses: persistent
-            verdict-cache lookups (:mod:`repro.batch`); a hit means a
-            whole analysis was skipped, so ``states``/``elapsed`` only
-            account for the misses.  Zero outside batch runs.
-        tier_attempts / tier_hits: portfolio-tier counters
-            (:mod:`repro.portfolio`): how often each analytic tier was
-            consulted and how often it decided the verdict, keyed by
-            tier name.  A hit means the state space was never touched.
-            Empty outside portfolio runs.
-        tier_escalations: verdicts that fell through every analytic
-            tier into exhaustive exploration.
-        states_canonicalized: distinct states mapped to their orbit
-            representative by symmetry reduction
-            (:mod:`repro.engine.reduce`).  Zero outside reduced runs.
-        orbits_merged: canonicalizations that actually changed the
-            state -- each one is a visited-set entry saved by merging
-            an orbit.
-        por_pruned: transitions dropped by the partial-order (ample)
-            filter.
-        hier_partitions_checked: virtual-processor partitions checked
-            against their BDR interface (:mod:`repro.hier`).  Zero
-            outside hierarchical runs.
-        hier_interface_hits: partitions the analytic demand-vs-supply
-            check settled (no flattened simulation needed).
-        hier_sim_escalations: partitions that fell through to the
-            supply-aware flattened simulation (one over its server
-            share is decided there without a run).
-        modal_transitions_checked: mode transitions whose transient was
-            analyzed (:mod:`repro.modal`).  Zero outside modal runs.
-        modal_transient_escalations: transitions the analytic union
-            test could not settle, escalated to switch-phasing
-            transient simulation.
         limit_hit: which budget stopped the run (``"states"``,
             ``"transitions"``, ``"seconds"``) or ``None``.
+        counters: feature counters of the layers around the engine,
+            keyed by dotted name; a missing name counts as zero.
+
+    The counts default to zero, so a layer that decides without
+    exploring passes only what it measured.
     """
 
-    __slots__ = (
-        "strategy",
-        "states",
-        "transitions",
-        "expanded",
-        "elapsed",
-        "wall_elapsed",
-        "frontier_peak",
-        "parent_map_bytes",
-        "cache_hits",
-        "cache_misses",
-        "cache_evictions",
-        "verdict_cache_hits",
-        "verdict_cache_misses",
-        "tier_attempts",
-        "tier_hits",
-        "tier_escalations",
-        "states_canonicalized",
-        "orbits_merged",
-        "por_pruned",
-        "hier_partitions_checked",
-        "hier_interface_hits",
-        "hier_sim_escalations",
-        "modal_transitions_checked",
-        "modal_transient_escalations",
-        "limit_hit",
-    )
+    __slots__ = _CORE + ("counters",)
 
     def __init__(
         self,
         *,
         strategy: str,
-        states: int,
-        transitions: int,
-        expanded: int,
-        elapsed: float,
-        frontier_peak: int,
-        parent_map_bytes: int,
-        cache_hits: int,
-        cache_misses: int,
-        cache_evictions: int,
-        limit_hit: Optional[str],
-        verdict_cache_hits: int = 0,
-        verdict_cache_misses: int = 0,
+        states: int = 0,
+        transitions: int = 0,
+        expanded: int = 0,
+        elapsed: float = 0.0,
         wall_elapsed: Optional[float] = None,
-        tier_attempts: Optional[Dict[str, int]] = None,
-        tier_hits: Optional[Dict[str, int]] = None,
-        tier_escalations: int = 0,
-        states_canonicalized: int = 0,
-        orbits_merged: int = 0,
-        por_pruned: int = 0,
-        hier_partitions_checked: int = 0,
-        hier_interface_hits: int = 0,
-        hier_sim_escalations: int = 0,
-        modal_transitions_checked: int = 0,
-        modal_transient_escalations: int = 0,
+        frontier_peak: int = 0,
+        parent_map_bytes: int = 0,
+        cache_hits: int = 0,
+        cache_misses: int = 0,
+        cache_evictions: int = 0,
+        limit_hit: Optional[str] = None,
+        counters: Optional[Dict[str, int]] = None,
     ) -> None:
         self.strategy = strategy
         self.states = states
@@ -146,20 +106,12 @@ class EngineStats:
         self.cache_hits = cache_hits
         self.cache_misses = cache_misses
         self.cache_evictions = cache_evictions
-        self.verdict_cache_hits = verdict_cache_hits
-        self.verdict_cache_misses = verdict_cache_misses
-        self.tier_attempts = dict(tier_attempts or {})
-        self.tier_hits = dict(tier_hits or {})
-        self.tier_escalations = tier_escalations
-        self.states_canonicalized = states_canonicalized
-        self.orbits_merged = orbits_merged
-        self.por_pruned = por_pruned
-        self.hier_partitions_checked = hier_partitions_checked
-        self.hier_interface_hits = hier_interface_hits
-        self.hier_sim_escalations = hier_sim_escalations
-        self.modal_transitions_checked = modal_transitions_checked
-        self.modal_transient_escalations = modal_transient_escalations
         self.limit_hit = limit_hit
+        self.counters = dict(counters or {})
+
+    def incr(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to the counter ``name`` (created at zero)."""
+        self.counters[name] = self.counters.get(name, 0) + amount
 
     @property
     def states_per_second(self) -> float:
@@ -174,77 +126,20 @@ class EngineStats:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
-    @property
-    def verdict_cache_hit_rate(self) -> float:
-        total = self.verdict_cache_hits + self.verdict_cache_misses
-        return self.verdict_cache_hits / total if total else 0.0
-
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "strategy": self.strategy,
-            "states": self.states,
-            "transitions": self.transitions,
-            "expanded": self.expanded,
-            "elapsed": self.elapsed,
-            "wall_elapsed": self.wall_elapsed,
-            "states_per_second": self.states_per_second,
-            "frontier_peak": self.frontier_peak,
-            "parent_map_bytes": self.parent_map_bytes,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_evictions": self.cache_evictions,
-            "cache_hit_rate": self.cache_hit_rate,
-            "verdict_cache_hits": self.verdict_cache_hits,
-            "verdict_cache_misses": self.verdict_cache_misses,
-            "tier_attempts": dict(self.tier_attempts),
-            "tier_hits": dict(self.tier_hits),
-            "tier_escalations": self.tier_escalations,
-            "states_canonicalized": self.states_canonicalized,
-            "orbits_merged": self.orbits_merged,
-            "por_pruned": self.por_pruned,
-            "hier_partitions_checked": self.hier_partitions_checked,
-            "hier_interface_hits": self.hier_interface_hits,
-            "hier_sim_escalations": self.hier_sim_escalations,
-            "modal_transitions_checked": self.modal_transitions_checked,
-            "modal_transient_escalations": self.modal_transient_escalations,
-            "limit_hit": self.limit_hit,
-        }
+        data = {name: getattr(self, name) for name in _CORE}
+        data["states_per_second"] = self.states_per_second
+        data["cache_hit_rate"] = self.cache_hit_rate
+        data["counters"] = dict(self.counters)
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "EngineStats":
         """Rebuild a snapshot serialized with :meth:`as_dict` (derived
         rate fields are recomputed, unknown keys ignored)."""
-        return cls(
-            strategy=data.get("strategy", "unknown"),
-            states=data.get("states", 0),
-            transitions=data.get("transitions", 0),
-            expanded=data.get("expanded", 0),
-            elapsed=data.get("elapsed", 0.0),
-            wall_elapsed=data.get("wall_elapsed"),
-            frontier_peak=data.get("frontier_peak", 0),
-            parent_map_bytes=data.get("parent_map_bytes", 0),
-            cache_hits=data.get("cache_hits", 0),
-            cache_misses=data.get("cache_misses", 0),
-            cache_evictions=data.get("cache_evictions", 0),
-            verdict_cache_hits=data.get("verdict_cache_hits", 0),
-            verdict_cache_misses=data.get("verdict_cache_misses", 0),
-            tier_attempts=data.get("tier_attempts"),
-            tier_hits=data.get("tier_hits"),
-            tier_escalations=data.get("tier_escalations", 0),
-            states_canonicalized=data.get("states_canonicalized", 0),
-            orbits_merged=data.get("orbits_merged", 0),
-            por_pruned=data.get("por_pruned", 0),
-            hier_partitions_checked=data.get("hier_partitions_checked", 0),
-            hier_interface_hits=data.get("hier_interface_hits", 0),
-            hier_sim_escalations=data.get("hier_sim_escalations", 0),
-            modal_transitions_checked=data.get(
-                "modal_transitions_checked", 0
-            ),
-            modal_transient_escalations=data.get(
-                "modal_transient_escalations", 0
-            ),
-            limit_hit=data.get("limit_hit"),
-        )
+        fields = {name: data[name] for name in _CORE if name in data}
+        fields.setdefault("strategy", "unknown")
+        return cls(counters=data.get("counters"), **fields)
 
     @classmethod
     def aggregate(
@@ -256,10 +151,10 @@ class EngineStats:
     ) -> "EngineStats":
         """Merge several run snapshots into one additive aggregate.
 
-        Counters sum; ``frontier_peak`` takes the maximum; ``limit_hit``
-        is dropped (per-run budgets do not compose into one).  This is
-        how :mod:`repro.batch` folds per-worker statistics into one
-        campaign-level snapshot.
+        Counts and counters sum; ``frontier_peak`` takes the maximum;
+        ``limit_hit`` is dropped (per-run budgets do not compose into
+        one).  This is how :mod:`repro.batch` folds per-worker
+        statistics into one campaign-level snapshot.
 
         ``elapsed`` stays the additive CPU-time sum.  ``wall_elapsed``
         must come from a real wall-clock measurement when the runs
@@ -271,58 +166,24 @@ class EngineStats:
         --jobs N`` it inflated ``elapsed:`` and deflated
         ``states_per_second`` by up to a factor of N.
         """
-        total = cls(
-            strategy=strategy,
-            states=0,
-            transitions=0,
-            expanded=0,
-            elapsed=0.0,
-            wall_elapsed=0.0,
-            frontier_peak=0,
-            parent_map_bytes=0,
-            cache_hits=0,
-            cache_misses=0,
-            cache_evictions=0,
-            limit_hit=None,
-        )
+        total = cls(strategy=strategy)
         for snap in snapshots:
             if snap is None:
                 continue
-            total.states += snap.states
-            total.transitions += snap.transitions
-            total.expanded += snap.expanded
-            total.elapsed += snap.elapsed
+            for name in _SUMMED:
+                value = getattr(total, name) + getattr(snap, name)
+                setattr(total, name, value)
             total.frontier_peak = max(total.frontier_peak, snap.frontier_peak)
-            total.parent_map_bytes += snap.parent_map_bytes
-            total.cache_hits += snap.cache_hits
-            total.cache_misses += snap.cache_misses
-            total.cache_evictions += snap.cache_evictions
-            total.verdict_cache_hits += snap.verdict_cache_hits
-            total.verdict_cache_misses += snap.verdict_cache_misses
-            for name, count in snap.tier_attempts.items():
-                total.tier_attempts[name] = (
-                    total.tier_attempts.get(name, 0) + count
-                )
-            for name, count in snap.tier_hits.items():
-                total.tier_hits[name] = total.tier_hits.get(name, 0) + count
-            total.tier_escalations += snap.tier_escalations
-            total.states_canonicalized += snap.states_canonicalized
-            total.orbits_merged += snap.orbits_merged
-            total.por_pruned += snap.por_pruned
-            total.hier_partitions_checked += snap.hier_partitions_checked
-            total.hier_interface_hits += snap.hier_interface_hits
-            total.hier_sim_escalations += snap.hier_sim_escalations
-            total.modal_transitions_checked += snap.modal_transitions_checked
-            total.modal_transient_escalations += (
-                snap.modal_transient_escalations
-            )
+            for name, count in snap.counters.items():
+                total.incr(name, count)
         total.wall_elapsed = (
             wall_elapsed if wall_elapsed is not None else total.elapsed
         )
         return total
 
     def format(self) -> str:
-        """Multi-line rendering for the CLI."""
+        """Multi-line rendering for the CLI; counter lines appear only
+        for the layers that wrote them, portfolio tiers in name order."""
         if self.wall_elapsed != self.elapsed:
             elapsed_line = (
                 f"elapsed: {self.elapsed:.3f}s cpu, "
@@ -345,41 +206,50 @@ class EngineStats:
             f"({self.cache_hit_rate:.1%} hit rate, "
             f"{self.cache_evictions} evictions)",
         ]
-        if self.verdict_cache_hits or self.verdict_cache_misses:
+        count = self.counters.get
+        hits = count("batch.verdict_cache_hits", 0)
+        misses = count("batch.verdict_cache_misses", 0)
+        if hits or misses:
             lines.append(
-                f"verdict cache: {self.verdict_cache_hits} hits / "
-                f"{self.verdict_cache_misses} misses "
-                f"({self.verdict_cache_hit_rate:.1%} hit rate)"
+                f"verdict cache: {hits} hits / {misses} misses "
+                f"({hits / (hits + misses):.1%} hit rate)"
             )
-        if self.tier_attempts or self.tier_escalations:
+        prefix = "portfolio.attempts."
+        tiers = sorted(
+            name[len(prefix):] for name in self.counters
+            if name.startswith(prefix)
+        )
+        escalations = count("portfolio.escalations", 0)
+        if tiers or escalations:
             lines.append("portfolio tiers:")
-            for name in self.tier_attempts:
-                hits = self.tier_hits.get(name, 0)
+            for tier in tiers:
                 lines.append(
-                    f"  {name}: {self.tier_attempts[name]} attempt(s), "
-                    f"{hits} hit(s)"
+                    f"  {tier}: {count(prefix + tier)} attempt(s), "
+                    f"{count(f'portfolio.hits.{tier}', 0)} hit(s)"
                 )
+            lines.append(f"  escalated to exploration: {escalations}")
+        partitions = count("hier.partitions_checked", 0)
+        if partitions:
             lines.append(
-                f"  escalated to exploration: {self.tier_escalations}"
+                f"hier: {partitions} partition(s) checked, "
+                f"{count('hier.interface_hits', 0)} settled by the "
+                f"interface, {count('hier.sim_escalations', 0)} escalated "
+                f"to flattened simulation"
             )
-        if self.hier_partitions_checked:
+        transitions = count("modal.transitions_checked", 0)
+        if transitions:
             lines.append(
-                f"hier: {self.hier_partitions_checked} partition(s) "
-                f"checked, {self.hier_interface_hits} settled by the "
-                f"interface, {self.hier_sim_escalations} escalated to "
-                f"flattened simulation"
-            )
-        if self.modal_transitions_checked:
-            lines.append(
-                f"modal: {self.modal_transitions_checked} transition(s) "
-                f"checked, {self.modal_transient_escalations} escalated "
+                f"modal: {transitions} transition(s) checked, "
+                f"{count('modal.transient_escalations', 0)} escalated "
                 f"to transient simulation"
             )
-        if self.states_canonicalized or self.orbits_merged or self.por_pruned:
+        canonicalized = count("reduce.states_canonicalized", 0)
+        merged = count("reduce.orbits_merged", 0)
+        pruned = count("reduce.por_pruned", 0)
+        if canonicalized or merged or pruned:
             lines.append(
-                f"reduction: {self.states_canonicalized} states "
-                f"canonicalized, {self.orbits_merged} orbits merged, "
-                f"{self.por_pruned} transitions pruned"
+                f"reduction: {canonicalized} states canonicalized, "
+                f"{merged} orbits merged, {pruned} transitions pruned"
             )
         if self.limit_hit is not None:
             lines.append(f"budget exhausted: {self.limit_hit}")

@@ -241,21 +241,15 @@ def analyze_hier(
     elapsed = time.perf_counter() - start
     stats = EngineStats(
         strategy="hier",
-        states=0,
-        transitions=0,
-        expanded=0,
         elapsed=elapsed,
-        frontier_peak=0,
-        parent_map_bytes=0,
-        cache_hits=0,
-        cache_misses=0,
-        cache_evictions=0,
-        limit_hit=None,
-        tier_hits={"hier": 1} if verdict is not Verdict.UNKNOWN else {},
-        hier_partitions_checked=partitions_checked,
-        hier_interface_hits=interface_hits,
-        hier_sim_escalations=sim_escalations,
+        counters={
+            "hier.partitions_checked": partitions_checked,
+            "hier.interface_hits": interface_hits,
+            "hier.sim_escalations": sim_escalations,
+        },
     )
+    if verdict is not Verdict.UNKNOWN:
+        stats.incr("portfolio.hits.hier")
     exploration = ExplorationResult(
         None,  # type: ignore[arg-type]
         num_states=0,

@@ -255,8 +255,8 @@ def analyze_modal(
         strategy="modal",
         wall_elapsed=time.perf_counter() - started,
     )
-    stats.modal_transitions_checked = len(outcomes)
-    stats.modal_transient_escalations = escalations
+    stats.counters["modal.transitions_checked"] = len(outcomes)
+    stats.counters["modal.transient_escalations"] = escalations
     return ModalResult(
         impl_name=impl.name,
         protocol=protocol,

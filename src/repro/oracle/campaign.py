@@ -457,8 +457,8 @@ def run_campaign(
                 totals["cache_misses"] += result.stats.get(
                     "cache_misses", 0
                 )
-    totals["verdict_cache_hits"] = report.stats.verdict_cache_hits
-    totals["verdict_cache_misses"] = report.stats.verdict_cache_misses
+    totals["verdict_cache_hits"] = report.cache_hits
+    totals["verdict_cache_misses"] = report.cache_misses
 
     outcomes: List[CaseOutcome] = []
     for index, (case, result) in enumerate(zip(cases, report.results)):

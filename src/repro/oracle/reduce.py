@@ -89,6 +89,7 @@ def evaluate(
         reduction_fault=fault,
     )
     stats = reduced.exploration.stats
+    counters = stats.counters if stats is not None else {}
     status = equal(unreduced.verdict, reduced.verdict)
     return RelationOutcome(
         seed,
@@ -97,8 +98,8 @@ def evaluate(
         counts={
             "unreduced_states": unreduced.num_states,
             "reduced_states": reduced.num_states,
-            "orbits_merged": stats.orbits_merged if stats is not None else 0,
-            "por_pruned": stats.por_pruned if stats is not None else 0,
+            "orbits_merged": counters.get("reduce.orbits_merged", 0),
+            "por_pruned": counters.get("reduce.por_pruned", 0),
         },
         details=[
             f"unreduced {unreduced.verdict.value} vs reduced "

@@ -189,19 +189,13 @@ class PortfolioAnalyzer:
         elapsed = time.perf_counter() - start
         stats = EngineStats(
             strategy="portfolio",
-            states=0,
-            transitions=0,
-            expanded=0,
             elapsed=elapsed,
-            frontier_peak=0,
-            parent_map_bytes=0,
-            cache_hits=0,
-            cache_misses=0,
-            cache_evictions=0,
-            limit_hit=None,
-            tier_attempts=attempts,
-            tier_hits={tier_name: 1},
+            counters={
+                f"portfolio.attempts.{name}": count
+                for name, count in attempts.items()
+            },
         )
+        stats.incr(f"portfolio.hits.{tier_name}")
         exploration = ExplorationResult(
             None,  # type: ignore[arg-type]
             num_states=0,
@@ -299,36 +293,26 @@ def analyze_portfolio(
         result.tier_trail = trail + [
             "escalated to hierarchical (BDR) analysis"
         ] + list(result.tier_trail or [])
-        stats = result.exploration.stats
-        if stats is not None:
-            for name, count in attempts.items():
-                stats.tier_attempts[name] = (
-                    stats.tier_attempts.get(name, 0) + count
-                )
-            stats.tier_escalations += 1
-        return result
-
-    with tracer.span("portfolio.escalate") as span:
-        span.set(reason=trail[-1] if trail else "")
-        result = analyze_model(
-            instance,
-            quantum=quantum,
-            options=options,
-            max_states=max_states,
-            max_seconds=max_seconds,
-            stop_at_first_deadlock=stop_at_first_deadlock,
-            strategy=strategy,
-            observers=observers,
-            reduction=reduction,
-            reduction_fault=reduction_fault,
-        )
-    result.decided_by = "exploration"
-    result.tier_trail = trail + ["escalated to exhaustive exploration"]
+    else:
+        with tracer.span("portfolio.escalate") as span:
+            span.set(reason=trail[-1] if trail else "")
+            result = analyze_model(
+                instance,
+                quantum=quantum,
+                options=options,
+                max_states=max_states,
+                max_seconds=max_seconds,
+                stop_at_first_deadlock=stop_at_first_deadlock,
+                strategy=strategy,
+                observers=observers,
+                reduction=reduction,
+                reduction_fault=reduction_fault,
+            )
+        result.decided_by = "exploration"
+        result.tier_trail = trail + ["escalated to exhaustive exploration"]
     stats = result.exploration.stats
     if stats is not None:
         for name, count in attempts.items():
-            stats.tier_attempts[name] = (
-                stats.tier_attempts.get(name, 0) + count
-            )
-        stats.tier_escalations += 1
+            stats.incr(f"portfolio.attempts.{name}", count)
+        stats.incr("portfolio.escalations")
     return result

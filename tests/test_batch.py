@@ -273,14 +273,16 @@ class TestEngineStatsBatchSupport:
                 "frontier_peak": 4,
                 "cache_hits": 3,
                 "cache_misses": 7,
-                "verdict_cache_hits": 1,
-                "verdict_cache_misses": 2,
+                "counters": {
+                    "batch.verdict_cache_hits": 1,
+                    "batch.verdict_cache_misses": 2,
+                },
             }
         )
         clone = EngineStats.from_dict(stats.as_dict())
         assert clone.as_dict() == stats.as_dict()
-        assert clone.verdict_cache_hits == 1
-        assert clone.verdict_cache_misses == 2
+        assert clone.counters["batch.verdict_cache_hits"] == 1
+        assert clone.counters["batch.verdict_cache_misses"] == 2
 
     def test_aggregate_sums_and_peaks(self):
         a = EngineStats.from_dict(
@@ -301,7 +303,8 @@ class TestEngineStatsBatchSupport:
         stats = EngineStats.from_dict(
             {"strategy": "aggregate", "states": 1, "transitions": 1,
              "expanded": 1, "elapsed": 0.1, "frontier_peak": 1,
-             "verdict_cache_hits": 3, "verdict_cache_misses": 1}
+             "counters": {"batch.verdict_cache_hits": 3,
+                          "batch.verdict_cache_misses": 1}}
         )
         assert "verdict cache: 3 hits / 1 misses" in stats.format()
 

@@ -1,5 +1,7 @@
 """Tests of the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -80,6 +82,14 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--all-modes"]) == 0
         out = capsys.readouterr().out
         assert "mode quiet" in out and "mode busy" in out
+
+    def test_compose_stats_aggregates_the_islands(self, capsys):
+        path = str(Path(__file__).parents[1] / "examples/dual_island.aadl")
+        assert main(["analyze", path, "--compose", "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "compose: 2 islands (30 states total)" in out
+        assert "engine stats:" in out
+        assert "  states: 30  transitions: 32  expanded: 30" in out
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent.aadl"]) == 2

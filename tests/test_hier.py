@@ -206,9 +206,9 @@ class TestAnalyzeHier:
         assert result.verdict is Verdict.SCHEDULABLE
         assert result.decided_by == "hier"
         stats = result.exploration.stats
-        assert stats.hier_partitions_checked == 2
-        assert stats.hier_interface_hits == 2
-        assert stats.hier_sim_escalations == 0
+        assert stats.counters["hier.partitions_checked"] == 2
+        assert stats.counters["hier.interface_hits"] == 2
+        assert stats.counters["hier.sim_escalations"] == 0
         assert any(
             "schedulable by interface" in line
             for line in result.tier_trail
@@ -225,7 +225,8 @@ class TestAnalyzeHier:
         ).instantiate()
         result = analyze_hier(instance)
         assert result.verdict is Verdict.UNSCHEDULABLE
-        assert result.exploration.stats.hier_sim_escalations == 1
+        stats = result.exploration.stats
+        assert stats.counters["hier.sim_escalations"] == 1
 
     def test_conservative_partition_settled_by_escalation(self):
         instance = partitioned_builder(
@@ -434,7 +435,7 @@ class TestBatchHier:
         job = hier_job(arinc_partitions_text())
         result = execute_job(job)
         assert result.verdict == "schedulable"
-        assert result.stats["hier_interface_hits"] == 2
+        assert result.stats["counters"]["hier.interface_hits"] == 2
 
     def test_cache_key_tracks_interface_parameters(self):
         source = arinc_partitions_text()

@@ -268,8 +268,9 @@ class TestAnalyzeModal:
             model, "Plant.impl", protocol="asynchronous"
         )
         assert result.verdict is Verdict.SCHEDULABLE
-        assert result.stats.modal_transitions_checked == 3
-        assert result.stats.modal_transient_escalations >= 1
+        counters = result.stats.counters
+        assert counters["modal.transitions_checked"] == 3
+        assert counters["modal.transient_escalations"] >= 1
 
     def test_transient_span_times_the_check(self, tmp_path, capsys):
         from repro.cli import main

@@ -260,7 +260,7 @@ class TestPortfolioAnalysis:
     def test_escalation_counters_on_stats(self):
         result = analyze_portfolio(sporadic_consumer())
         stats = result.exploration.stats
-        assert stats.tier_escalations == 1
+        assert stats.counters["portfolio.escalations"] == 1
 
     def test_offset_model_decided_by_simulation(self):
         """Offsets past RTA's reach land in the simulation tier over
@@ -383,42 +383,28 @@ class TestPortfolioCli:
 
 
 class TestStatsPlumbing:
-    @staticmethod
-    def _stats(**overrides):
-        from repro.engine.stats import EngineStats
-
-        base = dict(
-            strategy="portfolio",
-            states=0,
-            transitions=0,
-            expanded=0,
-            elapsed=0.0,
-            frontier_peak=0,
-            parent_map_bytes=0,
-            cache_hits=0,
-            cache_misses=0,
-            cache_evictions=0,
-            limit_hit=None,
-        )
-        base.update(overrides)
-        return EngineStats(**base)
-
     def test_tier_counters_roundtrip_and_aggregate(self):
         from repro.engine.stats import EngineStats
 
-        first = self._stats(
-            tier_attempts={"rta": 1}, tier_hits={"rta": 1}
-        )
-        second = self._stats(
-            tier_attempts={"rta": 1, "simulation": 1},
-            tier_escalations=1,
+        rta = {"portfolio.attempts.rta": 1, "portfolio.hits.rta": 1}
+        first = EngineStats(strategy="portfolio", counters=rta)
+        second = EngineStats(
+            strategy="portfolio",
+            counters={
+                "portfolio.attempts.rta": 1,
+                "portfolio.attempts.simulation": 1,
+                "portfolio.escalations": 1,
+            },
         )
         restored = EngineStats.from_dict(first.as_dict())
-        assert restored.tier_attempts == {"rta": 1}
+        assert restored.counters == rta
         total = EngineStats.aggregate([restored, second])
-        assert total.tier_attempts == {"rta": 2, "simulation": 1}
-        assert total.tier_hits == {"rta": 1}
-        assert total.tier_escalations == 1
+        assert total.counters == {
+            "portfolio.attempts.rta": 2,
+            "portfolio.attempts.simulation": 1,
+            "portfolio.hits.rta": 1,
+            "portfolio.escalations": 1,
+        }
         assert "portfolio tiers:" in total.format()
 
     def test_portfolio_spans_exported(self):

@@ -197,7 +197,7 @@ class TestPartialOrderFilter:
             stop_at_first_deadlock=False,
             reduction=reduction,
         )
-        assert reduced.stats.por_pruned > 0
+        assert reduced.stats.counters["reduce.por_pruned"] > 0
         assert reduced.num_states < full.num_states
         assert reduced.deadlock_free == full.deadlock_free
 
@@ -232,8 +232,8 @@ class TestEngineIntegration:
             stop_at_first_deadlock=False,
             reduction=reduction,
         )
-        assert result.stats.states_canonicalized > 0
-        assert result.stats.orbits_merged > 0
+        assert result.stats.counters["reduce.states_canonicalized"] > 0
+        assert result.stats.counters["reduce.orbits_merged"] > 0
 
     def test_counters_are_per_run_deltas(self, translation):
         """Reusing one Reduction must not double-count earlier runs."""
@@ -251,7 +251,7 @@ class TestEngineIntegration:
         assert second.num_states == first.num_states
         # The second run is served from the canonicalization cache, so
         # its own delta counts no new canonicalizations.
-        assert second.stats.states_canonicalized == 0
+        assert second.stats.counters["reduce.states_canonicalized"] == 0
 
 
 class TestAnalysisEquivalence:
@@ -260,7 +260,8 @@ class TestAnalysisEquivalence:
         reduced = analyze_model(replicated, reduction="sym,por")
         assert reduced.verdict is unreduced.verdict
         assert reduced.num_states < unreduced.num_states
-        assert reduced.exploration.stats.orbits_merged > 0
+        stats = reduced.exploration.stats
+        assert stats.counters["reduce.orbits_merged"] > 0
 
     def test_jittered_model_runs_unreduced(self, jittered):
         """When no pass applies the reduced path is the identity."""
