@@ -36,7 +36,8 @@ semantics only ever sees closed terms, produced by
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from contextlib import contextmanager
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import AcsrSemanticsError
 from repro.acsr.expressions import BoolExpr, Expr, as_expr
@@ -768,3 +769,24 @@ def seq(*parts: Union[_Pending, Term]) -> Term:
 def intern_table_size() -> int:
     """Number of distinct terms created so far (diagnostics/benchmarks)."""
     return len(_TERM_INTERN)
+
+
+@contextmanager
+def intern_scope() -> Iterator[None]:
+    """Forget every term interned inside the block when it exits.
+
+    ``Choice``/``Parallel`` children sort by intern id, so the order in
+    which a search meets successors -- and the states it counts before
+    a deadlock stops it -- depends on which terms the process interned
+    earlier.  Inside a scope that history is the scope's own: a unit of
+    work counts the same states whatever ran before it in the process.
+    Terms built inside the block must not be used after it.
+    """
+    size = len(_TERM_INTERN)
+    try:
+        yield
+    finally:
+        # Interning only ever appends, so the block's terms are the
+        # newest entries.
+        while len(_TERM_INTERN) > size:
+            _TERM_INTERN.popitem()

@@ -6,8 +6,8 @@ runs *many* analyses whose verdicts are pure functions of (model,
 options).  This subsystem makes that the first-class unit of work:
 
 * :mod:`~repro.batch.jobs` -- :class:`AnalysisJob`, a self-contained
-  picklable job (an :class:`~repro.analysis.request.AnalysisRequest` or
-  an oracle case), and
+  picklable job (an :class:`~repro.analysis.request.AnalysisRequest`,
+  an oracle case or one seed of an oracle campaign), and
   :class:`JobResult`, its JSON-typed outcome;
 * :mod:`~repro.batch.cache` -- :class:`VerdictCache`, the persistent
   content-addressed verdict store under ``artifacts/cache/`` (key =
@@ -18,8 +18,8 @@ options).  This subsystem makes that the first-class unit of work:
 * :mod:`~repro.batch.sweeps` -- workload sweeps as job lists.
 
 CLI surface: ``repro batch run``, ``repro batch cache``, ``repro
-analyze <files...> --jobs N --cache`` and ``repro oracle run --jobs N
---cache``.  See ``docs/batch.md`` for the pool architecture, the cache
+analyze <files...> --jobs N --cache`` and ``repro oracle <relation>
+--jobs N``.  See ``docs/batch.md`` for the pool architecture, the cache
 key definition and its invalidation rules.
 """
 

@@ -5,7 +5,7 @@ process, so it must be (a) serializable as a plain dict of JSON types
 -- no live AADL/ACSR objects cross the process boundary -- and (b)
 deterministic: everything the analysis depends on (model text or task
 list, budget, quantum, fault name, seeds) is embedded in the job, never
-drawn from ambient state.  Two kinds exist:
+drawn from ambient state.  Three kinds exist:
 
 * ``analysis`` -- an :class:`~repro.analysis.request.AnalysisRequest`
   (its canonical dict is the payload), executed by the
@@ -15,8 +15,12 @@ drawn from ambient state.  Two kinds exist:
   and per-island fan-outs are ordinary ``analysis`` jobs.
 * ``case`` -- a serialized :class:`~repro.oracle.case.OracleCase`;
   executed with :func:`repro.oracle.verdicts.evaluate_case` (pipeline
-  + classical oracles + agreement classification), which is how the
-  differential campaign rides the pool.
+  + classical oracles + agreement classification).
+* ``relation`` -- one seed of an oracle campaign (relation name, seed,
+  parameters); executed with the relation's ``evaluate``, which is how
+  :func:`repro.oracle.relations.run_relation` rides the pool.  Its
+  parameters may name local directories (bundles, verdict cache), so
+  :mod:`repro.serve` refuses the kind.
 
 An ``analysis`` job may also hold the parsed model in memory (the
 ``model`` slot, never serialized): inline execution and the cache key
@@ -35,7 +39,7 @@ from typing import Any, Dict, Optional
 from repro.analysis.request import AnalysisRequest, analyze
 from repro.errors import BatchError, ReproError
 
-JOB_KINDS = ("analysis", "case")
+JOB_KINDS = ("analysis", "case", "relation")
 
 #: Crash-injection faults for harness self-tests -- the batch analogue
 #: of :mod:`repro.oracle.faults` and ``REDUCTION_FAULTS``.  A job whose
@@ -82,9 +86,10 @@ class AnalysisJob:
 
     Attributes:
         job_id: caller-facing label (report rows, progress lines).
-        kind: ``"analysis"`` or ``"case"``.
-        payload: the canonical request dict (``analysis``) or the
-            serialized oracle case (``case``), JSON types only.
+        kind: ``"analysis"``, ``"case"`` or ``"relation"``.
+        payload: the canonical request dict (``analysis``), the
+            serialized oracle case (``case``) or the relation name,
+            seed and parameters (``relation``), JSON types only.
         options: further cache-key material (JSON types only): the
             ``batch_fault`` harness hook, and the budget and fault of a
             ``case`` job.
@@ -157,6 +162,17 @@ class AnalysisJob:
         )
 
     @classmethod
+    def from_relation(
+        cls, name: str, seed: int, params: Dict[str, Any]
+    ) -> "AnalysisJob":
+        """One seed of the oracle relation ``name``."""
+        return cls(
+            job_id=f"{name} seed {seed}",
+            kind="relation",
+            payload={"relation": name, "seed": seed, "params": dict(params)},
+        )
+
+    @classmethod
     def from_file(cls, path: str, **fields: Any) -> "AnalysisJob":
         """Build a job from a file path.
 
@@ -223,6 +239,8 @@ class AnalysisJob:
         is resolved here, making the key independent of whether the
         caller spelled it out.
         """
+        if self.kind == "relation":
+            return ""  # the model is drawn from the seed inside the job
         if self.kind == "case":
             from repro.oracle.case import OracleCase
 
@@ -241,6 +259,8 @@ class AnalysisJob:
         island's display label, plus :attr:`options`."""
         if self.kind == "case":
             return dict(self.options)
+        if self.kind == "relation":
+            return dict(self.payload)
         key = {
             name: value
             for name, value in self.payload.items()
@@ -335,6 +355,8 @@ def execute_job(job: AnalysisJob) -> JobResult:
                 _apply_batch_fault(fault)
             if job.kind == "case":
                 result = _execute_case(job)
+            elif job.kind == "relation":
+                result = _execute_relation(job)
             else:
                 # Nested fan-outs (per mode, per island) run inline:
                 # a job may already be running inside a pool worker.
@@ -401,4 +423,24 @@ def _execute_case(job: AnalysisJob) -> JobResult:
         stats=stats.as_dict() if stats is not None else None,
         classification=classification.to_dict(),
         oracles=[oracle.to_dict() for oracle in oracles],
+    )
+
+
+def _execute_relation(job: AnalysisJob) -> JobResult:
+    from repro.acsr.terms import intern_scope
+    from repro.oracle.relations import RELATIONS
+
+    payload = job.payload
+    # Its own intern scope makes a seed's state counts independent of
+    # the seeds this process ran before: inline and pooled campaigns,
+    # and a seed re-run alone, count the same.
+    with intern_scope():
+        outcome = RELATIONS[payload["relation"]].evaluate(
+            payload["seed"], **payload["params"]
+        )
+    return JobResult(
+        job_id=job.job_id,
+        kind=job.kind,
+        verdict=outcome.status.value,
+        classification=outcome.to_dict(),
     )

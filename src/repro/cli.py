@@ -22,15 +22,23 @@ scenario.  The CLI exposes each step plus the baselines::
     repro analyze model.aadl --reduce               # symmetry + POR reduction
     repro oracle reduce --seeds 50                  # reduced =? unreduced
     repro oracle replay artifacts/oracle/x.json     # re-run a repro bundle
+    repro oracle portfolio --seeds 50 --jobs 2      # any campaign, pooled
     repro analyze model.aadl --trace out.jsonl      # record a span trace
     repro trace summary out.jsonl                   # per-stage profile
 
 ``--trace [PATH]`` records a structured span trace of the whole
 pipeline (JSONL under ``artifacts/traces/`` by default) and
 ``--profile`` prints the per-stage summary table after the run; both
-are available on ``analyze``, ``acsr``, ``batch run`` and ``oracle
-run`` (there as ``--span-profile``, since ``--profile`` already names
-the campaign envelope).  See docs/observability.md.
+are available on ``analyze``, ``acsr``, ``batch run`` and every
+``oracle`` campaign verb (there as ``--span-profile``, since
+``--profile`` names the ``run`` campaign's envelope).  See
+docs/observability.md.
+
+Every ``oracle`` campaign verb is one record of
+:data:`repro.oracle.relations.RELATIONS`, built by one loop: the
+shared flags ``--seeds --base-seed --progress --jobs --cache
+--cache-dir --trace --span-profile`` plus the record's own parameters
+(see docs/oracle.md).
 
 (Equivalently: ``python -m repro ...``.)
 
@@ -372,27 +380,6 @@ def cmd_acsr(args) -> int:
     return EXIT_VIOLATION
 
 
-def cmd_oracle_run(args) -> int:
-    from repro.oracle import DEFAULT_ARTIFACTS_DIR, run_campaign
-
-    report = run_campaign(
-        seeds=args.seeds,
-        profile=args.profile,
-        base_seed=args.base_seed,
-        artifacts_dir=args.artifacts or DEFAULT_ARTIFACTS_DIR,
-        fault=args.fault,
-        max_states=args.max_states,
-        progress=args.progress,
-        jobs=args.jobs,
-        cache=_cache_spec(args),
-    )
-    print(report.format())
-    # A campaign's verdict is about agreement, not schedulability:
-    # disagreement is the only failure (CI gates on it); UNKNOWN cases
-    # are reported in the matrix but do not fail the run.
-    return EXIT_VIOLATION if report.disagreements else EXIT_SCHEDULABLE
-
-
 def cmd_oracle_relation(args) -> int:
     from repro.oracle import RELATIONS, run_relation
 
@@ -402,9 +389,14 @@ def cmd_oracle_relation(args) -> int:
         seeds=args.seeds,
         base_seed=args.base_seed,
         progress=args.progress,
+        jobs=args.jobs,
+        cache=_cache_spec(args),
         **{p.name: getattr(args, p.name) for p in relation.params},
     )
     print(report.format())
+    # A campaign's verdict is about agreement, not schedulability:
+    # disagreement is the only failure (CI gates on it); UNKNOWN cases
+    # are counted in the report but do not fail the run.
     return EXIT_VIOLATION if report.disagreements else EXIT_SCHEDULABLE
 
 
@@ -862,56 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     oracle_sub = p_oracle.add_subparsers(dest="oracle_command", required=True)
 
-    p_run = oracle_sub.add_parser(
-        "run", help="run a seeded differential campaign"
-    )
-    p_run.add_argument(
-        "--seeds",
-        type=int,
-        default=50,
-        help="number of seeded cases to draw (default 50)",
-    )
-    p_run.add_argument(
-        "--profile",
-        default="smoke",
-        choices=["smoke", "nightly"],
-        help="campaign parameter envelope (default smoke)",
-    )
-    p_run.add_argument(
-        "--base-seed",
-        type=int,
-        default=0,
-        help="first seed of the campaign (case i uses base-seed + i)",
-    )
-    p_run.add_argument(
-        "--artifacts",
-        default=None,
-        help="directory for disagreement bundles "
-        "(default artifacts/oracle)",
-    )
-    p_run.add_argument(
-        "--max-states",
-        type=int,
-        default=None,
-        help="override the profile's per-case exploration budget",
-    )
-    p_run.add_argument(
-        "--fault",
-        default=None,
-        help="inject a known translator fault into the pipeline side "
-        "(harness self-test; see repro.oracle.faults)",
-    )
-    p_run.add_argument(
-        "--progress",
-        action="store_true",
-        help="report campaign progress to stderr",
-    )
-    pool_options(p_run)
-    # --profile names the campaign envelope here, so the span profiler
-    # rides under --span-profile (same dest as --profile elsewhere).
-    tracing_options(p_run, profile_flag="--span-profile")
-    p_run.set_defaults(func=cmd_oracle_run)
-
     from repro.oracle import RELATIONS
 
     for relation in RELATIONS.values():
@@ -936,7 +878,8 @@ def build_parser() -> argparse.ArgumentParser:
         for param in relation.params:
             p_relation.add_argument(
                 param.flag,
-                type=str if param.default is None else type(param.default),
+                type=param.type
+                or (str if param.default is None else type(param.default)),
                 default=param.default,
                 help=param.help,
             )
@@ -945,6 +888,11 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="report per-case progress to stderr",
         )
+        pool_options(p_relation)
+        # --profile names the run campaign's envelope, so the span
+        # profiler rides under --span-profile (same dest as --profile
+        # elsewhere) on every oracle verb.
+        tracing_options(p_relation, profile_flag="--span-profile")
         p_relation.set_defaults(func=cmd_oracle_relation)
 
     p_replay = oracle_sub.add_parser(

@@ -11,7 +11,7 @@ events into span annotations without a second callback path
 (:mod:`repro.obs.bridge`).
 
 Surfaced through the CLI as ``--trace [PATH]`` / ``--profile`` on
-``analyze``, ``acsr``, ``oracle run`` and ``batch run``, plus
+``analyze``, ``acsr``, the ``oracle`` campaigns and ``batch run``, plus
 ``repro trace summary PATH``.  See ``docs/observability.md``.
 """
 

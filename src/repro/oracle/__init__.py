@@ -14,34 +14,22 @@ This subpackage turns that cross-check into a first-class subsystem:
   minimal reproducers;
 * :mod:`~repro.oracle.bundle` -- replayable JSON repro bundles
   (``repro oracle replay <bundle>``);
-* :mod:`~repro.oracle.campaign` -- seeded campaigns over the
-  :mod:`repro.workloads` generators (``repro oracle run``);
+* :mod:`~repro.oracle.campaign` -- the ``run`` relation: seeded cases
+  over the :mod:`repro.workloads` generators, pipeline against the
+  classical oracles (``repro oracle run``);
 * :mod:`~repro.oracle.faults` -- injectable translator defects that
   prove the harness catches what it is supposed to catch;
-* :mod:`~repro.oracle.relations` -- one seeded campaign runner for the
-  layer-vs-reference relations (compose, reduce, hier, modal,
+* :mod:`~repro.oracle.relations` -- the one seeded campaign driver,
+  pooled through :mod:`repro.batch`, for every relation: ``run`` and
+  the layer-vs-reference relations (compose, reduce, hier, modal,
   portfolio), each defined in its own module
   (``repro oracle <relation>``).
 
 See ``docs/oracle.md`` for the agreement matrix and caveats.
 """
 
-from repro.oracle.bundle import (
-    DEFAULT_ARTIFACTS_DIR,
-    ReplayResult,
-    ReproBundle,
-    replay_bundle,
-)
-from repro.oracle.campaign import (
-    CampaignProfile,
-    CampaignReport,
-    CaseOutcome,
-    PROFILES,
-    draw_case,
-    run_campaign,
-)
-from repro.oracle.case import OracleCase
-from repro.oracle.faults import FAULTS, Fault, fault_names, get_fault
+# relations first: it loads every relation module, and the relation
+# modules import its types (and, for portfolio, campaign's profiles).
 from repro.oracle.relations import (
     RELATIONS,
     Relation,
@@ -49,6 +37,15 @@ from repro.oracle.relations import (
     RelationReport,
     run_relation,
 )
+from repro.oracle.bundle import (
+    DEFAULT_ARTIFACTS_DIR,
+    ReplayResult,
+    ReproBundle,
+    replay_bundle,
+)
+from repro.oracle.campaign import CampaignProfile, PROFILES, draw_case
+from repro.oracle.case import OracleCase
+from repro.oracle.faults import FAULTS, Fault, fault_names, get_fault
 from repro.oracle.shrink import ShrinkResult, shrink_case
 from repro.oracle.verdicts import (
     AgreementStatus,
@@ -63,9 +60,7 @@ from repro.oracle.verdicts import (
 __all__ = [
     "AgreementStatus",
     "CampaignProfile",
-    "CampaignReport",
     "CaseClassification",
-    "CaseOutcome",
     "DEFAULT_ARTIFACTS_DIR",
     "FAULTS",
     "Fault",
@@ -86,7 +81,6 @@ __all__ = [
     "fault_names",
     "get_fault",
     "replay_bundle",
-    "run_campaign",
     "run_pipeline",
     "run_relation",
     "shrink_case",

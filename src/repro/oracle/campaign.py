@@ -1,43 +1,39 @@
-"""Seeded differential-testing campaigns.
+"""The ``run`` relation: the pipeline against the classical analyses.
 
-A campaign draws ``seeds`` cases (round-robin over the workload
-generators, every parameter derived from the seed), runs each through
-the full AADL -> ACSR -> engine pipeline *and* the classical oracles,
-classifies the agreement, and -- on disagreement -- shrinks the case to
-a minimal reproducer and persists it as a replayable JSON bundle under
-``artifacts/oracle/``.
+The paper's S5 theorem -- an AADL model is schedulable iff its ACSR
+translation is deadlock-free -- as a seeded campaign.  Seed ``s`` draws
+case ``draw_case(PROFILES[profile], s, s)`` (generator round-robin,
+every parameter derived from the seed), runs it through the full AADL
+-> ACSR -> engine pipeline *and* the classical oracles, and classifies
+the agreement with :func:`repro.oracle.verdicts.classify`.  On
+disagreement the case is shrunk to a minimal reproducer and persisted
+as a replayable JSON bundle under ``artifacts/oracle/``.
 
-Case evaluation fans out across the :mod:`repro.batch` worker pool
-(``jobs`` processes, default one per core) and can consult the
-persistent verdict cache, so a repeated campaign skips already-proven
-cases; per-job seeding is deterministic, which makes ``jobs=1`` and
-``jobs=N`` produce identical verdict sets.  Shrinking stays in the
-parent process: it is a sequential search whose every probe depends on
-the previous answer.  Every evaluation's
-:class:`~repro.engine.stats.EngineStats` snapshot is aggregated into
-campaign totals, so a run accounts for exactly where its state budget
-went.
+Each case runs as a ``case`` job of :func:`repro.batch.run_batch`, so
+the persistent verdict cache serves a case already proven under the
+same budget and fault.  The campaign loop, its worker pool and its
+report are :func:`repro.oracle.relations.run_relation`'s
+(``repro oracle run``).
 """
 
 from __future__ import annotations
 
-import sys
-import time
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.observers import ProgressObserver
 from repro.errors import SchedError
 from repro.oracle.bundle import DEFAULT_ARTIFACTS_DIR, ReproBundle
 from repro.oracle.case import OracleCase
-from repro.oracle.faults import Fault, get_fault
-from repro.oracle.shrink import shrink_case
-from repro.oracle.verdicts import (
-    AgreementStatus,
-    CaseClassification,
-    evaluate_case,
+from repro.oracle.faults import FAULTS, Fault, get_fault
+from repro.oracle.relations import (
+    DISAGREED,
+    Param,
+    Relation,
+    RelationOutcome,
 )
+from repro.oracle.shrink import shrink_case
+from repro.oracle.verdicts import CaseClassification, evaluate_case
 
 
 class CampaignProfile:
@@ -118,192 +114,15 @@ PROFILES: Dict[str, CampaignProfile] = {
 }
 
 
-class CaseOutcome:
-    """One case's journey through a campaign."""
-
-    __slots__ = (
-        "case",
-        "verdict",
-        "classification",
-        "states",
-        "elapsed",
-        "limit_hit",
-        "shrunk_case",
-        "bundle_path",
-    )
-
-    def __init__(
-        self,
-        case: OracleCase,
-        verdict: str,
-        classification: CaseClassification,
-        states: int,
-        elapsed: float,
-        limit_hit: Optional[str],
-        shrunk_case: Optional[OracleCase] = None,
-        bundle_path: Optional[str] = None,
-    ) -> None:
-        self.case = case
-        self.verdict = verdict
-        self.classification = classification
-        self.states = states
-        self.elapsed = elapsed
-        self.limit_hit = limit_hit
-        self.shrunk_case = shrunk_case
-        self.bundle_path = bundle_path
-
-    def __repr__(self) -> str:
-        return (
-            f"CaseOutcome({self.case.case_id!r}, {self.verdict}, "
-            f"{self.classification.status.value})"
-        )
-
-
-class CampaignReport:
-    """Aggregated result of one campaign run."""
-
-    def __init__(
-        self,
-        *,
-        profile: str,
-        seeds: int,
-        base_seed: int,
-        fault: Optional[str],
-        outcomes: List[CaseOutcome],
-        totals: Dict[str, Any],
-        elapsed: float,
-        workers: int = 1,
-    ) -> None:
-        self.profile = profile
-        self.seeds = seeds
-        self.base_seed = base_seed
-        self.fault = fault
-        self.outcomes = outcomes
-        #: aggregated EngineStats across every pipeline run of the
-        #: campaign (including shrink re-evaluations)
-        self.totals = totals
-        self.elapsed = elapsed
-        #: worker-pool width the cases were evaluated with
-        self.workers = workers
-
-    def _by_status(self, status: AgreementStatus) -> List[CaseOutcome]:
-        return [
-            outcome
-            for outcome in self.outcomes
-            if outcome.classification.status is status
-        ]
-
-    @property
-    def agreed(self) -> List[CaseOutcome]:
-        return self._by_status(AgreementStatus.AGREED)
-
-    @property
-    def disagreements(self) -> List[CaseOutcome]:
-        return self._by_status(AgreementStatus.DISAGREED)
-
-    @property
-    def unknown(self) -> List[CaseOutcome]:
-        return self._by_status(AgreementStatus.UNKNOWN)
-
-    def format(self) -> str:
-        lines = [
-            f"oracle campaign: profile={self.profile} seeds={self.seeds} "
-            f"base_seed={self.base_seed}"
-            + (f" fault={self.fault}" if self.fault else "")
-            + (f" jobs={self.workers}" if self.workers != 1 else ""),
-        ]
-        generators = sorted(
-            {outcome.case.generator for outcome in self.outcomes}
-        )
-        width = max([len(g) for g in generators] + [10])
-        header = "  " + " " * 11 + "".join(
-            f"{g:>{width + 2}}" for g in generators
-        ) + f"{'total':>{width + 2}}"
-        lines.append("agreement matrix:")
-        lines.append(header)
-        for status in AgreementStatus:
-            row = self._by_status(status)
-            counts = {
-                g: sum(1 for o in row if o.case.generator == g)
-                for g in generators
-            }
-            lines.append(
-                f"  {status.value:<11}"
-                + "".join(f"{counts[g]:>{width + 2}}" for g in generators)
-                + f"{len(row):>{width + 2}}"
-            )
-        totals = self.totals
-        lines.append(
-            f"engine totals: {totals['runs']} pipeline run(s), "
-            f"{totals['states']} states, {totals['transitions']} "
-            f"transitions in {totals['engine_elapsed']:.2f}s "
-            f"(campaign wall clock {self.elapsed:.2f}s)"
-        )
-        cache_total = totals["cache_hits"] + totals["cache_misses"]
-        if cache_total:
-            lines.append(
-                f"cache: {totals['cache_hits']} hits / "
-                f"{totals['cache_misses']} misses "
-                f"({totals['cache_hits'] / cache_total:.1%} hit rate)"
-            )
-        vc_hits = totals.get("verdict_cache_hits", 0)
-        vc_misses = totals.get("verdict_cache_misses", 0)
-        if vc_hits or vc_misses:
-            lines.append(
-                f"verdict cache: {vc_hits} hits / {vc_misses} misses "
-                f"({vc_hits / (vc_hits + vc_misses):.1%} hit rate)"
-            )
-        if totals["budget_capped"]:
-            lines.append(
-                f"budget-capped runs: {totals['budget_capped']} "
-                f"(reported as UNKNOWN, never as agreement)"
-            )
-        for outcome in self.unknown:
-            lines.append(
-                f"unknown: {outcome.case.case_id} "
-                f"(limit_hit={outcome.limit_hit!r}, "
-                f"{outcome.states} states explored)"
-            )
-        for outcome in self.disagreements:
-            shrunk = outcome.shrunk_case
-            lines.append(
-                f"DISAGREEMENT: {outcome.case.case_id} "
-                f"pipeline={outcome.verdict} "
-                f"conflicts={outcome.classification.conflicts}"
-            )
-            if shrunk is not None:
-                lines.append(
-                    f"  shrunk from {len(outcome.case.tasks)} to "
-                    f"{len(shrunk.tasks)} task(s): "
-                    + "; ".join(
-                        f"{t['name']}(C={t['wcet']}, T={t['period']}, "
-                        f"D={t['deadline']}, O={t['offset']})"
-                        for t in shrunk.tasks
-                    )
-                )
-            if outcome.bundle_path is not None:
-                lines.append(
-                    f"  replay: repro oracle replay {outcome.bundle_path}"
-                )
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return (
-            f"CampaignReport(profile={self.profile!r}, seeds={self.seeds}, "
-            f"agreed={len(self.agreed)}, "
-            f"disagreed={len(self.disagreements)}, "
-            f"unknown={len(self.unknown)})"
-        )
-
-
 def draw_case(
     profile: CampaignProfile, seed: int, index: int
 ) -> OracleCase:
-    """Deterministically derive case number ``index`` of a campaign.
+    """Deterministically derive one case of a campaign.
 
-    The generator cycles round-robin; every numeric parameter comes from
-    a generator seeded with the case seed, so the draw is reproducible
-    from the ``(profile, seed)`` pair alone.
+    The generator cycles round-robin over ``index``; every numeric
+    parameter comes from a generator seeded with ``seed``.  Campaigns
+    pass the seed as the index, so the draw is reproducible from the
+    ``(profile, seed)`` pair alone.
     """
     generator = profile.generators[index % len(profile.generators)]
     prng = np.random.default_rng([seed, 0x0FACE])
@@ -326,204 +145,181 @@ def draw_case(
     )
 
 
-def _accumulate(totals: Dict[str, Any], pipeline) -> None:
-    stats = pipeline.exploration.stats
-    totals["runs"] += 1
-    totals["states"] += pipeline.num_states
-    totals["elapsed"] = totals.get("elapsed", 0.0)
-    if stats is not None:
-        totals["transitions"] += stats.transitions
-        totals["engine_elapsed"] += stats.elapsed
-        totals["cache_hits"] += stats.cache_hits
-        totals["cache_misses"] += stats.cache_misses
-        if stats.limit_hit is not None:
-            totals["budget_capped"] += 1
+def _tally(
+    counts: Dict[str, int], states: int, stats: Optional[Dict[str, Any]]
+) -> None:
+    """Add one pipeline run's exploration to the case counters."""
+    stats = stats or {}
+    counts["states"] += states
+    counts["transitions"] += stats.get("transitions", 0)
+    counts["engine_cache_hits"] += stats.get("cache_hits", 0)
+    counts["engine_cache_misses"] += stats.get("cache_misses", 0)
+    counts["budget_capped"] += stats.get("limit_hit") is not None
 
 
-def run_campaign(
+def evaluate(
+    seed: int,
     *,
-    seeds: int,
-    profile: Union[str, CampaignProfile] = "smoke",
-    base_seed: int = 0,
-    artifacts_dir: str = DEFAULT_ARTIFACTS_DIR,
-    fault: Union[Fault, str, None] = None,
+    profile: str = "smoke",
     max_states: Optional[int] = None,
-    progress: Union[bool, Callable[[int, int, CaseOutcome], None]] = False,
-    jobs: Optional[int] = None,
-    cache=None,
-) -> CampaignReport:
-    """Run a differential campaign of ``seeds`` cases.
+    fault: Optional[str] = None,
+    artifacts: Optional[str] = None,
+    cache: Any = None,
+) -> RelationOutcome:
+    """Draw case ``seed`` of ``profile`` and compare the pipeline with
+    the classical oracles.
 
-    Cases are drawn upfront and evaluated through
-    :func:`repro.batch.run_batch` (``jobs`` workers, default one per
-    core; ``cache`` enables the persistent verdict cache).  Cached
-    results are served without re-running and are *not* counted in
-    ``totals["runs"]``.  Disagreements are shrunk in the parent process
-    and persisted under ``artifacts_dir``; the returned report carries
-    every outcome plus aggregated engine statistics.  ``fault`` injects
-    a known translator defect into the pipeline side (see
-    :mod:`repro.oracle.faults`) -- used to test the harness itself.
+    ``max_states`` overrides the profile's budget; ``fault`` injects a
+    translator defect into the pipeline side (:mod:`repro.oracle.faults`,
+    the harness's self-test); ``cache`` is a verdict-cache spec.  Cached
+    verdicts count no runs, states or transitions.  A DISAGREED case is
+    shrunk and saved under ``artifacts``; its details end with the
+    bundle's ``replay:`` line.
     """
     from repro.batch import AnalysisJob, run_batch
 
-    if seeds < 1:
-        raise SchedError(f"need at least one seed, got {seeds}")
-    if isinstance(profile, str):
-        try:
-            profile = PROFILES[profile]
-        except KeyError:
-            raise SchedError(
-                f"unknown campaign profile {profile!r}; "
-                f"choose from {sorted(PROFILES)}"
-            ) from None
-    if isinstance(fault, str):
-        fault = get_fault(fault)
-    budget = max_states if max_states is not None else profile.max_states
-    fault_name = fault.name if fault is not None else None
-
-    totals: Dict[str, Any] = {
-        "runs": 0,
-        "states": 0,
-        "transitions": 0,
-        "engine_elapsed": 0.0,
-        "cache_hits": 0,
-        "cache_misses": 0,
-        "budget_capped": 0,
-        "verdict_cache_hits": 0,
-        "verdict_cache_misses": 0,
-    }
-
-    def evaluate(case: OracleCase):
-        # Parent-process path, used for shrinking: every probe depends
-        # on the previous answer, so this never rides the pool.  Live
-        # progress on explorations that grow large; every run's
-        # EngineStats snapshot lands in the campaign totals.
-        observer = ProgressObserver(every_states=50_000)
-        pipeline, oracles, classification = evaluate_case(
-            case, max_states=budget, fault=fault, observers=observer
+    envelope = PROFILES.get(profile)
+    if envelope is None:
+        raise SchedError(
+            f"unknown campaign profile {profile!r}; "
+            f"choose from {sorted(PROFILES)}"
         )
-        _accumulate(totals, pipeline)
+    injected = get_fault(fault) if fault else None
+    budget = envelope.max_states if max_states is None else max_states
+    case = draw_case(envelope, seed, seed)
+    batch = run_batch(
+        [
+            AnalysisJob.from_case(
+                case, job_id=case.case_id, max_states=budget, fault=fault
+            )
+        ],
+        workers=1,
+        cache=cache,
+    )
+    (result,) = batch.results
+    if result.error is not None:
+        raise SchedError(f"case {case.case_id}: {result.error}")
+    classification = CaseClassification.from_dict(result.classification)
+    counts = dict.fromkeys(
+        (
+            "runs", "shrink_runs", "states", "transitions",
+            "engine_cache_hits", "engine_cache_misses", "budget_capped",
+        ),
+        0,
+    )
+    counts[f"generator.{case.generator}.{classification.status.value}"] = 1
+    counts[f"verdict.{result.verdict}"] = 1
+    if cache is not None:
+        counts["verdict_cache_hits"] = batch.cache_hits
+        counts["verdict_cache_misses"] = batch.cache_misses
+    if not result.cached:
+        counts["runs"] = 1
+        _tally(counts, result.states, result.stats)
+    details = []
+    if classification.status is DISAGREED:
+        details = [
+            f"pipeline={result.verdict} "
+            f"conflicts={classification.conflicts}",
+            *_shrink_and_save(
+                case, envelope, budget, injected, artifacts, counts
+            ),
+        ]
+    return RelationOutcome(
+        seed,
+        classification.status,
+        case.case_id,
+        counts=counts,
+        details=details,
+    )
+
+
+def _shrink_and_save(
+    case: OracleCase,
+    envelope: CampaignProfile,
+    budget: int,
+    injected: Optional[Fault],
+    artifacts: Optional[str],
+    counts: Dict[str, int],
+) -> Tuple[str, str]:
+    """Shrink a disagreeing case, save its bundle, and return the
+    ``shrunk from`` and ``replay:`` detail lines.  Every probe is one
+    more ``shrink_runs`` and adds its exploration to the counters."""
+
+    def probe(candidate: OracleCase):
+        pipeline, oracles, classification = evaluate_case(
+            candidate, max_states=budget, fault=injected
+        )
+        stats = pipeline.exploration.stats
+        counts["shrink_runs"] += 1
+        _tally(
+            counts,
+            pipeline.num_states,
+            stats.as_dict() if stats is not None else None,
+        )
         return pipeline, oracles, classification
 
-    from repro.obs.tracer import current_tracer
-
-    campaign_span = current_tracer().span(
-        "oracle.campaign", profile=profile.name, seeds=seeds
+    shrink = shrink_case(
+        case,
+        lambda candidate: probe(candidate)[2].status is DISAGREED,
+        max_evaluations=envelope.shrink_evaluations,
     )
-    started = time.perf_counter()
-    cases = [
-        draw_case(profile, base_seed + index, index)
-        for index in range(seeds)
-    ]
-    job_list = [
-        AnalysisJob.from_case(
-            case,
-            job_id=case.case_id,
-            max_states=budget,
-            fault=fault_name,
-        )
-        for case in cases
-    ]
-
-    def batch_progress(done: int, total: int, result) -> None:
-        if done % 10 == 0 or done == total:
-            status = (result.classification or {}).get("status", "?")
-            mark = " [cached]" if result.cached else ""
-            print(
-                f"  [{done}/{total}] {result.job_id}: "
-                f"{result.verdict} ({status}){mark}",
-                file=sys.stderr,
-            )
-
-    report = run_batch(
-        job_list,
-        workers=jobs,
-        cache=cache,
-        progress=batch_progress
-        if (progress and not callable(progress))
-        else None,
+    pipeline, oracles, classification = probe(shrink.case)
+    bundle = ReproBundle.from_evaluation(
+        kind="disagreement",
+        case=shrink.case,
+        pipeline=pipeline,
+        oracles=oracles,
+        classification=classification,
+        max_states=budget,
+        profile=envelope.name,
+        fault=injected.name if injected is not None else None,
+        original_case=case,
+        shrink_evaluations=shrink.evaluations,
     )
-
-    for result in report.results:
-        if not result.cached:
-            totals["runs"] += 1
-            totals["states"] += result.states
-            if result.limit_hit is not None:
-                totals["budget_capped"] += 1
-            if result.stats is not None:
-                totals["transitions"] += result.stats.get("transitions", 0)
-                totals["engine_elapsed"] += result.stats.get("elapsed", 0.0)
-                totals["cache_hits"] += result.stats.get("cache_hits", 0)
-                totals["cache_misses"] += result.stats.get(
-                    "cache_misses", 0
-                )
-    totals["verdict_cache_hits"] = report.cache_hits
-    totals["verdict_cache_misses"] = report.cache_misses
-
-    outcomes: List[CaseOutcome] = []
-    for index, (case, result) in enumerate(zip(cases, report.results)):
-        if result.error is not None:
-            raise SchedError(f"case {case.case_id}: {result.error}")
-        classification = CaseClassification.from_dict(result.classification)
-        outcome = CaseOutcome(
-            case,
-            result.verdict,
-            classification,
-            result.states,
-            result.elapsed,
-            result.limit_hit,
-        )
-
-        if classification.status is AgreementStatus.DISAGREED:
-            def still_disagrees(candidate: OracleCase) -> bool:
-                _, _, cls = evaluate(candidate)
-                return cls.status is AgreementStatus.DISAGREED
-
-            shrink = shrink_case(
-                case,
-                still_disagrees,
-                max_evaluations=profile.shrink_evaluations,
-            )
-            (
-                shrunk_pipeline,
-                shrunk_oracles,
-                shrunk_classification,
-            ) = evaluate(shrink.case)
-            bundle = ReproBundle.from_evaluation(
-                kind="disagreement",
-                case=shrink.case,
-                pipeline=shrunk_pipeline,
-                oracles=shrunk_oracles,
-                classification=shrunk_classification,
-                max_states=budget,
-                profile=profile.name,
-                fault=fault_name,
-                original_case=case,
-                shrink_evaluations=shrink.evaluations,
-            )
-            outcome.shrunk_case = shrink.case
-            outcome.bundle_path = bundle.save(artifacts_dir)
-
-        outcomes.append(outcome)
-        if callable(progress):
-            progress(index + 1, seeds, outcome)
-
-    campaign_span.incr("cases", len(outcomes)).incr(
-        "disagreements",
-        sum(
-            1
-            for o in outcomes
-            if o.classification.status is AgreementStatus.DISAGREED
+    path = bundle.save(artifacts or DEFAULT_ARTIFACTS_DIR)
+    return (
+        f"shrunk from {len(case.tasks)} to {len(shrink.case.tasks)} "
+        "task(s): "
+        + "; ".join(
+            f"{t['name']}(C={t['wcet']}, T={t['period']}, "
+            f"D={t['deadline']}, O={t['offset']})"
+            for t in shrink.case.tasks
         ),
+        f"replay: repro oracle replay {path}",
     )
-    campaign_span.finish()
-    return CampaignReport(
-        profile=profile.name,
-        seeds=seeds,
-        base_seed=base_seed,
-        fault=fault_name,
-        outcomes=outcomes,
-        totals=totals,
-        elapsed=time.perf_counter() - started,
-        workers=report.workers,
-    )
+
+
+RELATION = Relation(
+    name="run",
+    help="seeded differential campaign: pipeline verdicts against the "
+    "classical analyses, disagreements shrunk into replayable bundles",
+    evaluate=evaluate,
+    params=(
+        Param(
+            "profile",
+            "smoke",
+            f"campaign parameter envelope: {' or '.join(PROFILES)}",
+        ),
+        Param(
+            "max_states",
+            None,
+            "override the profile's per-case exploration budget",
+            type=int,
+        ),
+        Param(
+            "fault",
+            None,
+            "inject a known translator fault into the pipeline side "
+            "(harness self-test; see repro.oracle.faults)",
+        ),
+        Param(
+            "artifacts",
+            None,
+            "directory for disagreement bundles "
+            f"(default {DEFAULT_ARTIFACTS_DIR})",
+        ),
+    ),
+    faults=tuple(FAULTS),
+    header="profile={profile}",
+    cached=True,
+)

@@ -1,11 +1,14 @@
-"""One campaign runner for every layer-vs-reference oracle relation.
+"""One campaign runner for every oracle relation.
 
-Each analysis layer grown around the paper's pipeline -- compose,
-portfolio, reduce, hier, modal -- is trusted only because a seeded
-campaign pits it against plain exploration or an exact simulation.
-A relation is a :class:`Relation` record: a seeded ``evaluate`` that
-draws one case, runs both sides and classifies them with one of two
-classifiers, plus the parameters and fault registry the CLI exposes.
+The ``run`` relation checks the paper's own claim -- the pipeline
+verdict against the classical analyses, classified by
+:func:`repro.oracle.verdicts.classify`.  Each analysis layer grown
+around the pipeline -- compose, portfolio, reduce, hier, modal -- is
+trusted only because a seeded campaign pits it against plain
+exploration or an exact simulation.  A relation is a :class:`Relation`
+record: a seeded ``evaluate`` that draws one case, runs both sides and
+classifies them, plus the parameters and fault registry the CLI
+exposes.  The layer relations share two classifiers:
 
 * :func:`equal` -- UNKNOWN-aware equivalence of two verdicts (compose,
   reduce, portfolio): budget exhaustion on either side is not evidence
@@ -36,6 +39,7 @@ from typing import (
 )
 
 from repro.analysis.schedulability import Verdict
+from repro.errors import SchedError
 from repro.oracle.verdicts import AgreementStatus
 
 AGREED = AgreementStatus.AGREED
@@ -59,6 +63,26 @@ class RelationOutcome:
     #: why the case DISAGREED, one line per offending check
     details: List[str] = field(default_factory=list)
 
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON form: how an outcome crosses the batch pool."""
+        return {
+            "seed": self.seed,
+            "status": self.status.value,
+            "label": self.label,
+            "counts": dict(self.counts),
+            "details": list(self.details),
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "RelationOutcome":
+        return cls(
+            data["seed"],
+            AgreementStatus(data["status"]),
+            data["label"],
+            dict(data["counts"]),
+            list(data["details"]),
+        )
+
 
 @dataclass(frozen=True)
 class Param:
@@ -67,6 +91,9 @@ class Param:
     name: str
     default: Any
     help: str
+    #: the flag's value type; None infers it from the default (str
+    #: for a None default)
+    type: Optional[Callable[[str], Any]] = None
 
     @property
     def flag(self) -> str:
@@ -88,8 +115,11 @@ class Relation:
     params: Tuple[Param, ...] = ()
     #: the registered faults its ``fault`` parameter accepts
     faults: Collection[str] = ()
-    #: extra report-header text after "<name> campaign"
+    #: extra report-header text after "<name> campaign", formatted
+    #: with the campaign's parameters
     header: str = ""
+    #: whether ``evaluate`` takes a ``cache`` (verdict-cache spec)
+    cached: bool = False
 
 
 def equal(a: Verdict, b: Verdict) -> AgreementStatus:
@@ -131,13 +161,14 @@ class RelationReport:
         *,
         elapsed: float,
         base_seed: int,
-        fault: Optional[str] = None,
+        params: Dict[str, Any],
     ) -> None:
         self.relation = relation
         self.outcomes = outcomes
         self.elapsed = elapsed
         self.base_seed = base_seed
-        self.fault = fault
+        #: every parameter the cases ran with, defaults included
+        self.params = params
 
     def _with(self, status: AgreementStatus) -> List[RelationOutcome]:
         return [o for o in self.outcomes if o.status is status]
@@ -165,9 +196,9 @@ class RelationReport:
     def format(self) -> str:
         title = f"{self.relation.name} campaign"
         if self.relation.header:
-            title += f" {self.relation.header}"
-        if self.fault:
-            title += f" fault={self.fault}"
+            title += " " + self.relation.header.format(**self.params)
+        if self.params.get("fault"):
+            title += f" fault={self.params['fault']}"
         lines = [
             f"{title}: {len(self.outcomes)} case(s) "
             f"(base seed {self.base_seed}), {self.elapsed:.1f}s",
@@ -190,38 +221,76 @@ def run_relation(
     seeds: int = 50,
     base_seed: int = 0,
     progress: bool = False,
+    jobs: Optional[int] = 1,
+    cache: Any = None,
     **params: Any,
 ) -> RelationReport:
     """Seeded campaign over one relation: case ``i`` evaluates seed
     ``base_seed + i``, so a failing seed re-runs alone as
     ``--base-seed <seed> --seeds 1``.
 
-    Runs inline (no pool): every case is a pair of small analyses or
-    simulations, so pool-per-case overhead buys nothing at smoke scale.
+    Every seed is one ``relation`` job of :func:`repro.batch.run_batch`:
+    ``jobs=1`` runs them inline, ``jobs=N`` across N worker processes
+    (None: one per core), with identical outcomes in seed order.
+    ``cache`` is a verdict-cache spec, accepted only by a relation
+    whose record is ``cached``.
     """
+    from repro.batch import AnalysisJob, VerdictCache, run_batch
     from repro.obs.tracer import current_tracer
 
     relation = RELATIONS[name]
+    if seeds < 1:
+        raise SchedError(f"need at least one seed, got {seeds}")
+    unknown = set(params) - {param.name for param in relation.params}
+    if unknown:
+        raise SchedError(
+            f"the {name} relation has no parameter(s) {sorted(unknown)}"
+        )
+    params = {
+        **{param.name: param.default for param in relation.params},
+        **params,
+    }
+    evaluated = dict(params)
+    if cache is not None and cache is not False:
+        if not relation.cached:
+            raise SchedError(f"the {name} relation keeps no verdict cache")
+        # Jobs carry JSON only: a cache object travels as its directory.
+        evaluated["cache"] = (
+            cache.directory if isinstance(cache, VerdictCache) else cache
+        )
+
+    def report_progress(done: int, total: int, result) -> None:
+        if result.error is None:
+            outcome = RelationOutcome.from_dict(result.classification)
+            print(
+                f"[{done}/{total}] seed {outcome.seed}: "
+                f"{outcome.status.value} ({outcome.label})",
+                file=sys.stderr,
+            )
+
     started = time.perf_counter()
-    outcomes: List[RelationOutcome] = []
     with current_tracer().span(
         f"oracle.{name}", seeds=seeds, base_seed=base_seed
     ) as span:
-        for index in range(seeds):
-            outcome = relation.evaluate(base_seed + index, **params)
-            outcomes.append(outcome)
-            if progress:
-                print(
-                    f"[{index + 1}/{seeds}] seed {outcome.seed}: "
-                    f"{outcome.status.value} ({outcome.label})",
-                    file=sys.stderr,
-                )
+        batch = run_batch(
+            [
+                AnalysisJob.from_relation(name, base_seed + index, evaluated)
+                for index in range(seeds)
+            ],
+            workers=jobs,
+            progress=report_progress if progress else None,
+        )
+        outcomes: List[RelationOutcome] = []
+        for result in batch.results:
+            if result.error is not None:
+                raise SchedError(f"{result.job_id}: {result.error}")
+            outcomes.append(RelationOutcome.from_dict(result.classification))
         report = RelationReport(
             relation,
             outcomes,
             elapsed=time.perf_counter() - started,
             base_seed=base_seed,
-            fault=params.get("fault"),
+            params=params,
         )
         span.set(disagreed=len(report.disagreements), **report.counts)
     return report
@@ -229,10 +298,17 @@ def run_relation(
 
 # The relation modules build their records from the types above, so
 # they are imported only once those exist.
-from repro.oracle import compose, hier, modal, portfolio, reduce  # noqa: E402
+from repro.oracle import (  # noqa: E402
+    campaign,
+    compose,
+    hier,
+    modal,
+    portfolio,
+    reduce,
+)
 
 #: Every relation by its ``repro oracle`` verb, in CLI help order.
 RELATIONS: Dict[str, Relation] = {
     module.RELATION.name: module.RELATION
-    for module in (compose, reduce, hier, modal, portfolio)
+    for module in (campaign, compose, reduce, hier, modal, portfolio)
 }

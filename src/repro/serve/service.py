@@ -524,7 +524,8 @@ def job_from_request(body: Dict[str, Any]) -> AnalysisJob:
 
     The first shape becomes an :class:`~repro.analysis.request.
     AnalysisRequest` (``quantum_us`` in microseconds; ``tiers`` counts
-    only with ``portfolio``).  Raises :class:`ServeError` on anything
+    only with ``portfolio``); a ``job`` of kind ``relation`` is
+    refused.  Raises :class:`ServeError` on anything
     else; the HTTP layer turns that into a 400.
     """
     from repro.analysis.request import DEFAULT_TIERS, AnalysisRequest
@@ -535,9 +536,16 @@ def job_from_request(body: Dict[str, Any]) -> AnalysisJob:
         if not isinstance(body["job"], dict):
             raise ServeError("'job' must be an object (AnalysisJob layout)")
         try:
-            return AnalysisJob.from_dict(body["job"])
+            job = AnalysisJob.from_dict(body["job"])
         except ReproError as exc:
             raise ServeError(f"bad job object: {exc}") from exc
+        if job.kind == "relation":
+            # Campaign seeds carry local paths (bundles, verdict cache)
+            # that a client must not choose.
+            raise ServeError(
+                "relation jobs run only in local oracle campaigns"
+            )
+        return job
     source = body.get("source")
     if not isinstance(source, str) or not source.strip():
         raise ServeError(

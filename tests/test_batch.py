@@ -366,44 +366,72 @@ class TestBatchCli:
 
 class TestCampaignBatchIntegration:
     def test_campaign_jobs_equivalence(self, tmp_path):
-        from repro.oracle import run_campaign
+        from repro.oracle import run_relation
 
         kwargs = dict(
             seeds=6,
             profile="smoke",
             base_seed=0,
-            artifacts_dir=str(tmp_path / "art"),
+            artifacts=str(tmp_path / "art"),
         )
-        serial = run_campaign(jobs=1, **kwargs)
-        pooled = run_campaign(jobs=2, **kwargs)
-        assert [o.verdict for o in serial.outcomes] == [
-            o.verdict for o in pooled.outcomes
+        serial = run_relation("run", jobs=1, **kwargs)
+        pooled = run_relation("run", jobs=2, **kwargs)
+        assert [o.counts for o in serial.outcomes] == [
+            o.counts for o in pooled.outcomes
         ]
-        assert [o.classification.status for o in serial.outcomes] == [
-            o.classification.status for o in pooled.outcomes
+        assert [o.status for o in serial.outcomes] == [
+            o.status for o in pooled.outcomes
         ]
 
     def test_campaign_cache_reuse(self, tmp_path):
-        from repro.oracle import run_campaign
+        from repro.oracle import run_relation
 
         kwargs = dict(
             seeds=5,
             profile="smoke",
             base_seed=0,
-            artifacts_dir=str(tmp_path / "art"),
+            artifacts=str(tmp_path / "art"),
             cache=str(tmp_path / "cache"),
             jobs=1,
         )
-        cold = run_campaign(**kwargs)
-        assert cold.totals["verdict_cache_misses"] == 5
-        assert cold.totals["runs"] == 5
-        warm = run_campaign(**kwargs)
-        assert warm.totals["verdict_cache_hits"] == 5
-        assert warm.totals["runs"] == 0
-        assert [o.verdict for o in warm.outcomes] == [
-            o.verdict for o in cold.outcomes
+        cold = run_relation("run", **kwargs)
+        assert cold.counts["verdict_cache_misses"] == 5
+        assert cold.counts["runs"] == 5
+        warm = run_relation("run", **kwargs)
+        assert warm.counts["verdict_cache_hits"] == 5
+        assert warm.counts["runs"] == 0
+
+        def verdicts(report):
+            return {
+                name: count
+                for name, count in report.counts.items()
+                if name.startswith("verdict.")
+            }
+
+        assert verdicts(warm) == verdicts(cold)
+        assert [o.label for o in warm.outcomes] == [
+            o.label for o in cold.outcomes
         ]
-        assert "verdict cache: 5 hits" in warm.format()
+        assert "  verdict_cache_hits: 5\n" in warm.format()
+
+    def test_cache_keys_match_case_jobs(self, tmp_path):
+        """A campaign case is the ``case`` job a ``batch run`` of the
+        same case would run: one cache serves both."""
+        from repro.oracle import PROFILES, draw_case, run_relation
+
+        cache_dir = str(tmp_path / "cache")
+        case = draw_case(PROFILES["smoke"], 0, 0)
+        run_batch(
+            [
+                AnalysisJob.from_case(
+                    case, max_states=PROFILES["smoke"].max_states
+                )
+            ],
+            workers=1,
+            cache=cache_dir,
+        )
+        report = run_relation("run", seeds=1, cache=cache_dir)
+        assert report.counts["verdict_cache_hits"] == 1
 
 
 class TestAggregateWallClock:

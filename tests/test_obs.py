@@ -356,4 +356,4 @@ class TestCliTracing:
             ]
         )
         assert code in (0, 1)
-        assert "oracle.campaign" in capsys.readouterr().err
+        assert "oracle.run" in capsys.readouterr().err

@@ -23,7 +23,7 @@ from repro.oracle import (
     evaluate_case,
     get_fault,
     replay_bundle,
-    run_campaign,
+    run_relation,
     run_pipeline,
     shrink_case,
 )
@@ -169,37 +169,59 @@ class TestShrinker:
         assert result.evaluations <= 1
 
 
+def _bundle_paths(report):
+    """The bundle path of every DISAGREED case, from its replay line."""
+    prefix = "replay: repro oracle replay "
+    return [
+        detail[len(prefix):]
+        for outcome in report.disagreements
+        for detail in outcome.details
+        if detail.startswith(prefix)
+    ]
+
+
 class TestCampaign:
     def test_smoke_campaign_all_agree(self, tmp_path):
-        report = run_campaign(
-            seeds=16, profile="smoke", artifacts_dir=str(tmp_path)
+        report = run_relation(
+            "run", seeds=16, profile="smoke", artifacts=str(tmp_path)
         )
         assert len(report.outcomes) == 16
         assert report.disagreements == []
         assert len(report.agreed) + len(report.unknown) == 16
         # Every generator was exercised.
-        assert {o.case.generator for o in report.outcomes} == {
-            "uniform", "harmonic", "constrained", "offset"
-        }
+        assert {
+            name.split(".")[1]
+            for name in report.counts
+            if name.startswith("generator.")
+        } == {"uniform", "harmonic", "constrained", "offset"}
         # Engine accounting flowed through the stats layer.
-        assert report.totals["runs"] == 16
-        assert report.totals["states"] > 0
-        assert report.totals["cache_hits"] > 0
-        assert "agreement matrix" in report.format()
+        assert report.counts["runs"] == 16
+        assert report.counts["states"] > 0
+        assert report.counts["engine_cache_hits"] > 0
+        assert "  generator.uniform.agreed: 4" in report.format()
 
     def test_campaign_is_deterministic(self, tmp_path):
-        first = run_campaign(
-            seeds=6, profile="smoke", artifacts_dir=str(tmp_path / "a")
+        first = run_relation(
+            "run", seeds=6, profile="smoke", artifacts=str(tmp_path / "a")
         )
-        second = run_campaign(
-            seeds=6, profile="smoke", artifacts_dir=str(tmp_path / "b")
+        second = run_relation(
+            "run", seeds=6, profile="smoke", artifacts=str(tmp_path / "b")
         )
-        assert [o.case.to_dict() for o in first.outcomes] == [
-            o.case.to_dict() for o in second.outcomes
+        assert [o.label for o in first.outcomes] == [
+            o.label for o in second.outcomes
         ]
-        assert [o.verdict for o in first.outcomes] == [
-            o.verdict for o in second.outcomes
+        assert [o.counts for o in first.outcomes] == [
+            o.counts for o in second.outcomes
         ]
+
+    def test_seed_reruns_alone(self, tmp_path):
+        """Case ``i`` of a campaign is seed ``base_seed + i`` drawn by
+        the seed alone, with the same counters as inside the campaign."""
+        campaign = run_relation("run", seeds=8, base_seed=30)
+        alone = run_relation("run", seeds=1, base_seed=33)
+        (outcome,) = alone.outcomes
+        assert outcome == campaign.outcomes[3]
+        assert outcome.label == "harmonic-33"
 
     def test_draw_case_covers_boundary_band(self):
         profile = PROFILES["smoke"]
@@ -209,26 +231,25 @@ class TestCampaign:
         )
 
     def test_injected_fault_is_caught_and_shrunk(self, tmp_path):
-        report = run_campaign(
+        report = run_relation(
+            "run",
             seeds=24,
             profile="smoke",
-            artifacts_dir=str(tmp_path),
+            artifacts=str(tmp_path),
             fault="underestimate-wcet",
         )
         assert report.disagreements, (
             "the harness failed to catch a deliberately broken pipeline"
         )
-        sizes = [
-            len(outcome.shrunk_case.tasks)
-            for outcome in report.disagreements
-        ]
-        assert min(sizes) <= 2
+        assert report.counts["shrink_runs"] > 0
         # Every disagreement was persisted as a replayable bundle.
-        for outcome in report.disagreements:
-            assert outcome.bundle_path is not None
-            assert os.path.exists(outcome.bundle_path)
+        paths = _bundle_paths(report)
+        assert len(paths) == len(report.disagreements)
+        assert all(os.path.exists(path) for path in paths)
+        bundles = [ReproBundle.load(path) for path in paths]
+        assert min(len(bundle.case.tasks) for bundle in bundles) <= 2
         # Replaying against the healthy pipeline shows the fix...
-        bundle = ReproBundle.load(report.disagreements[0].bundle_path)
+        bundle = bundles[0]
         healthy = replay_bundle(bundle)
         assert healthy.classification.status is AgreementStatus.AGREED
         assert not healthy.verdict_matches
@@ -241,14 +262,14 @@ class TestCampaign:
 
     def test_rejects_bad_arguments(self, tmp_path):
         with pytest.raises(SchedError, match="at least one seed"):
-            run_campaign(seeds=0, artifacts_dir=str(tmp_path))
+            run_relation("run", seeds=0, artifacts=str(tmp_path))
         with pytest.raises(SchedError, match="unknown campaign profile"):
-            run_campaign(
-                seeds=1, profile="huge", artifacts_dir=str(tmp_path)
+            run_relation(
+                "run", seeds=1, profile="huge", artifacts=str(tmp_path)
             )
         with pytest.raises(SchedError, match="unknown fault"):
-            run_campaign(
-                seeds=1, fault="nope", artifacts_dir=str(tmp_path)
+            run_relation(
+                "run", seeds=1, fault="nope", artifacts=str(tmp_path)
             )
 
 
@@ -338,7 +359,20 @@ class TestOracleCli:
         )
         assert status == 0
         out = capsys.readouterr().out
-        assert "agreement matrix" in out
+        assert "run campaign profile=smoke: 6 case(s)" in out
+        assert "agreed: 6  disagreed: 0  unknown: 0" in out
+
+    def test_failing_seed_reruns_alone(self, tmp_path, capsys):
+        """``--base-seed S --seeds 1`` draws the case that seed S draws
+        inside a longer campaign: the ``ignore-offsets`` self-test's
+        only offset-sensitive smoke seed reproduces by itself."""
+        argv = [
+            "oracle", "run", "--fault", "ignore-offsets",
+            "--artifacts", str(tmp_path), "--jobs", "1",
+        ]
+        assert main([*argv, "--base-seed", "299", "--seeds", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "DISAGREED seed 299 (offset-299)" in out
 
     def test_run_exits_nonzero_on_disagreement(self, tmp_path, capsys):
         status = main(
@@ -352,8 +386,8 @@ class TestOracleCli:
         )
         assert status == 1
         out = capsys.readouterr().out
-        assert "DISAGREEMENT" in out
-        assert "replay" in out
+        assert "DISAGREED seed" in out
+        assert "replay: repro oracle replay" in out
 
     def test_replay_round_trip(self, tmp_path, capsys):
         main(

@@ -77,6 +77,10 @@ class TestClassifiers:
 #: The pinned seed window on which each registered fault must DISAGREE.
 #: A fault registered without a window fails the self-test below.
 FAULT_WINDOWS = {
+    ("run", "underestimate-wcet"): dict(seeds=3),
+    ("run", "deadline-as-period"): dict(seeds=3),
+    # The only offset-sensitive case among the first 400 smoke seeds.
+    ("run", "ignore-offsets"): dict(base_seed=299, seeds=1),
     ("reduce", "overeager-sym"): dict(seeds=8, base_seed=100),
     ("hier", "inflate-alpha"): dict(seeds=50),
     ("modal", "shrink-transient-window"): dict(seeds=12),
@@ -87,9 +91,10 @@ FAULT_WINDOWS = {
     "name, fault",
     [(r.name, f) for r in RELATIONS.values() for f in r.faults],
 )
-def test_fault_is_caught(name, fault):
+def test_fault_is_caught(name, fault, tmp_path, monkeypatch):
     """The harness self-test: a registered fault injected into the side
     under test must produce at least one DISAGREED case."""
+    monkeypatch.chdir(tmp_path)  # the run relation saves bundles
     window = FAULT_WINDOWS.get((name, fault))
     assert window is not None, (
         f"fault {fault!r} of relation {name!r} has no pinned seed window"
@@ -104,7 +109,7 @@ def test_fault_is_caught(name, fault):
 class TestRegistry:
     def test_relations_in_cli_order(self):
         assert list(RELATIONS) == [
-            "compose", "reduce", "hier", "modal", "portfolio",
+            "run", "compose", "reduce", "hier", "modal", "portfolio",
         ]
 
     def test_cli_flags_follow_the_records(self):
@@ -114,11 +119,17 @@ class TestRegistry:
         for relation in RELATIONS.values():
             args = parser.parse_args(
                 ["oracle", relation.name, "--seeds", "3",
-                 "--base-seed", "7", "--progress"]
+                 "--base-seed", "7", "--progress", "--jobs", "2",
+                 "--cache-dir", "d", "--trace", "t.jsonl",
+                 "--span-profile"]
             )
             assert (args.seeds, args.base_seed, args.progress) == (
                 3, 7, True,
             )
+            assert (args.jobs, args.cache_dir, args.trace) == (
+                2, "d", "t.jsonl",
+            )
+            assert args.span_profile
             for param in relation.params:
                 assert getattr(args, param.name) == param.default
             assert ("fault" in vars(args)) == bool(relation.faults)
@@ -136,6 +147,19 @@ class TestRegistry:
             build_parser().parse_args(["oracle", *argv])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_run_flags_keep_their_types(self):
+        args = build_parser().parse_args(
+            ["oracle", "run", "--profile", "nightly", "--max-states", "9",
+             "--artifacts", "a", "--fault", "ignore-offsets"]
+        )
+        assert (args.profile, args.max_states, args.artifacts) == (
+            "nightly", 9, "a",
+        )
+
+    def test_cache_is_refused_where_no_relation_keeps_one(self, capsys):
+        assert main(["oracle", "compose", "--seeds", "1", "--cache"]) == 2
+        assert "keeps no verdict cache" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name", [r.name for r in RELATIONS.values() if r.faults]
@@ -166,6 +190,20 @@ class TestRunner:
         assert span.attrs["seeds"] == 4
         assert span.attrs["disagreed"] == 0
         assert span.attrs["partitions"] == partitions
+
+    @pytest.mark.parametrize("name", list(RELATIONS))
+    def test_pooled_equals_inline(self, name):
+        inline = run_relation(name, seeds=4, jobs=1)
+        pooled = run_relation(name, seeds=4, jobs=2)
+        assert pooled.outcomes == inline.outcomes
+
+    def test_pooled_trace_merges_worker_spans(self):
+        tracer = Tracer()
+        with activate(tracer):
+            run_relation("compose", seeds=2, jobs=2)
+        names = [s.name for s in tracer.spans]
+        assert "oracle.compose" in names
+        assert names.count("batch.job") == 2
 
     def test_progress_reports_each_case(self, capsys):
         run_relation("hier", seeds=2, base_seed=4, progress=True)

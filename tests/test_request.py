@@ -139,8 +139,8 @@ class TestRejections:
         "kind", ["aadl", "island", "portfolio", "hier", "modal"]
     )
     def test_legacy_kinds(self, kind):
-        assert JOB_KINDS == ("analysis", "case")
-        with pytest.raises(BatchError, match="'analysis', 'case'"):
+        assert JOB_KINDS == ("analysis", "case", "relation")
+        with pytest.raises(BatchError, match="'analysis', 'case', 'relation'"):
             AnalysisJob.from_dict(
                 {"job_id": "x", "kind": kind, "payload": {"source": "x"}}
             )

@@ -212,6 +212,20 @@ class TestEndpoints:
         assert resp.status == 400
         conn.close()
 
+    def test_relation_job_is_400(self, server, tmp_path):
+        """A campaign seed names local directories; no client may
+        submit one."""
+        addr, _ = server
+        job = AnalysisJob.from_relation(
+            "run", 0, {"artifacts": str(tmp_path / "art"), "cache": None}
+        )
+        status, body = request(
+            addr, "POST", "/v1/analyze", {"job": job.to_dict()}
+        )
+        assert status == 400
+        assert "relation" in body["error"]
+        assert not (tmp_path / "art").exists()
+
     def test_unknown_routes_and_methods(self, server):
         addr, _ = server
         assert request(addr, "GET", "/nope")[0] == 404
