@@ -20,7 +20,9 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 from repro.errors import AcsrDefinitionError
 from repro.engine.cache import TransitionCache
 from repro.acsr.expressions import Expr
-from repro.acsr.terms import ProcRef, Term
+from repro.acsr.priority import prioritized
+from repro.acsr.semantics import product_steps, transitions
+from repro.acsr.terms import Parallel, ProcRef, Restrict, Term
 
 
 class ProcessDef:
@@ -82,9 +84,24 @@ class ProcessEnv:
     :class:`ClosedSystem` built over this environment.  They must not be
     process-global: terms are interned process-wide, but a ``ProcRef``
     unfolds through its own environment.
+
+    Three label tables, keyed by interned label pairs, memoize the
+    product's label algebra: ``sync_table`` (the ``tau`` of a send and
+    a receive), ``union_table`` (the (Par3) union of two actions, or
+    ``None`` when they share a resource) and ``preempt_table``
+    (action-vs-action preemption).  They live here for their lifetime:
+    a process-global dict would keep every label and action alive.
     """
 
-    __slots__ = ("_defs", "_unfold_cache", "trans_cache", "table_cache")
+    __slots__ = (
+        "_defs",
+        "_unfold_cache",
+        "trans_cache",
+        "table_cache",
+        "sync_table",
+        "union_table",
+        "preempt_table",
+    )
 
     def __init__(self) -> None:
         self._defs: Dict[str, ProcessDef] = {}
@@ -94,6 +111,9 @@ class ProcessEnv:
         self.trans_cache = TransitionCache(name="semantics")
         #: per-component step tables of the parallel rule.
         self.table_cache = TransitionCache(name="tables")
+        self.sync_table: Dict[tuple, object] = {}
+        self.union_table: Dict[tuple, object] = {}
+        self.preempt_table: Dict[tuple, bool] = {}
 
     def define(
         self,
@@ -192,14 +212,26 @@ class ProcessEnv:
             "unfold_cache": len(self._unfold_cache),
             "trans_cache": self.trans_cache.stats(),
             "table_cache": self.table_cache.stats(),
+            **self.label_table_sizes(),
+        }
+
+    def label_table_sizes(self) -> Dict[str, int]:
+        """Entries in each of the three label tables."""
+        return {
+            "sync_table": len(self.sync_table),
+            "union_table": len(self.union_table),
+            "preempt_table": len(self.preempt_table),
         }
 
     def clear_cache(self) -> None:
-        """Drop the unfold, transition and table memos (long-lived
-        sessions)."""
+        """Drop the unfold, transition, table and label memos
+        (long-lived sessions)."""
         self._unfold_cache.clear()
         self.trans_cache.clear()
         self.table_cache.clear()
+        self.sync_table.clear()
+        self.union_table.clear()
+        self.preempt_table.clear()
 
 
 def _collect_refs(term: Term) -> List[Tuple[str, int]]:
@@ -270,8 +302,6 @@ class ClosedSystem:
 
     def steps(self, term: Optional[Term] = None) -> Tuple:
         """Unprioritized transitions ``(label, successor)`` of ``term``."""
-        from repro.acsr.semantics import transitions
-
         if term is None:
             term = self.root
         cached = self._step_cache.get(term)
@@ -283,18 +313,22 @@ class ClosedSystem:
     def prioritized_steps(self, term: Optional[Term] = None) -> Tuple:
         """Prioritized transitions of ``term`` (preempted steps removed).
 
-        Computed from the urgency-pruned relation, not from
-        :meth:`steps`: timed steps that an urgent internal step preempts
-        are never built, and the unprioritized step cache is left alone.
+        Equal to ``prioritized(transitions(term))``, order included.  A
+        parallel composition, bare or under a restriction, goes through
+        the compiled product step, which never builds a preempted
+        successor; the unprioritized step cache is left alone.
         """
-        from repro.acsr.priority import prioritized
-        from repro.acsr.semantics import transitions
-
         if term is None:
             term = self.root
         cached = self._prio_cache.get(term)
         if cached is None:
-            cached = prioritized(transitions(term, self.env, urgent=True))
+            env = self.env
+            if isinstance(term, Parallel) or (
+                isinstance(term, Restrict) and isinstance(term.body, Parallel)
+            ):
+                cached = product_steps(term, env)
+            else:
+                cached = prioritized(transitions(term, env), env.preempt_table)
             self._prio_cache.put(term, cached)
         return cached
 
@@ -322,6 +356,7 @@ class ClosedSystem:
             "trans_cache": len(self.env.trans_cache),
             "table_cache": len(self.env.table_cache),
             "unfold_cache": len(self.env._unfold_cache),
+            **self.env.label_table_sizes(),
             "detail": {
                 cache.name: cache.stats() for cache in self.caches()
             },
@@ -331,8 +366,8 @@ class ClosedSystem:
         """Drop every memo table so long-lived sessions can bound memory.
 
         Clears the step and prioritization caches of this system plus
-        the shared environment caches (semantics memo, component tables
-        and unfoldings).
+        the shared environment caches (semantics memo, component tables,
+        label tables and unfoldings).
         Subsequent explorations rebuild them on demand.
         """
         self._step_cache.clear()

@@ -39,7 +39,9 @@ class EventLabel:
     plain internal step).
     """
 
-    __slots__ = ("_name", "_direction", "_priority", "_via", "_hash")
+    __slots__ = (
+        "_name", "_direction", "_priority", "_via", "_hash", "_family"
+    )
 
     def __new__(
         cls,
@@ -89,6 +91,7 @@ class EventLabel:
         self._priority = priority
         self._via = via
         self._hash = hash(key)
+        self._family = TAU if name == TAU else (name, direction)
         _LABEL_INTERN[key] = self
         return self
 
@@ -110,6 +113,12 @@ class EventLabel:
     def via(self) -> Optional[str]:
         """For tau labels, the event name that produced the internal step."""
         return self._via
+
+    @property
+    def family(self) -> object:
+        """What preemption compares within: :data:`TAU` for every
+        internal label, ``(name, direction)`` for the rest."""
+        return self._family
 
     @property
     def is_tau(self) -> bool:

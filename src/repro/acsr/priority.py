@@ -25,9 +25,9 @@ each comparable family.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.acsr.events import EventLabel
+from repro.acsr.events import TAU, EventLabel
 from repro.acsr.resources import Action
 
 Transition = Tuple[object, object]
@@ -75,20 +75,78 @@ def _action_preempts(low: Action, high: Action) -> bool:
 
 
 def prioritized(
-    steps: Sequence[Transition],
+    steps: Sequence[Transition], table: Optional[dict] = None
 ) -> Tuple[Transition, ...]:
-    """Remove every step whose label is preempted by a coenabled step."""
-    labels = [label for label, _ in steps]
-    keep: List[Transition] = []
-    for i, (label, succ) in enumerate(steps):
-        dominated = False
-        for j, other in enumerate(labels):
-            if i != j and preempts(label, other):
-                dominated = True
+    """Remove every step whose label is preempted by a coenabled step
+    (``table`` as in :func:`unpreempted`)."""
+    kept = unpreempted([label for label, _ in steps], table)
+    return tuple(steps[i] for i in kept)
+
+
+def unpreempted(
+    labels: Sequence[object], table: Optional[dict] = None
+) -> List[int]:
+    """Indices, in order, of the labels no other label preempts.
+
+    Equal to testing :func:`preempts` on every pair, in linear time
+    outside the actions.  An event survives when its priority is the
+    highest of its family (all ``tau`` labels are one family, each
+    non-tau ``(name, direction)`` another), any ``(tau, n > 0)`` drops
+    every action, and only the distinct actions are compared pairwise.
+    ``table`` memoizes that comparison by label pair; it belongs to the
+    caller (a :class:`~repro.acsr.definitions.ProcessEnv`).
+    """
+    top: Dict[object, int] = {}
+    actions: Dict[Action, None] = {}
+    priorities: List[int] = []
+    for label in labels:
+        if isinstance(label, EventLabel):
+            family = label.family
+            priority = label.int_priority()
+            if top.get(family, -1) < priority:
+                top[family] = priority
+            priorities.append(priority)
+        else:
+            priorities.append(-1)
+            if isinstance(label, Action):
+                actions[label] = None
+    if top.get(TAU, 0) > 0:
+        dominated: Collection[Action] = actions
+    else:
+        dominated = _dominated_actions(actions, table)
+    return [
+        i
+        for i, (label, priority) in enumerate(zip(labels, priorities))
+        if (
+            label not in dominated
+            if priority < 0
+            else priority == top[label.family]
+        )
+    ]
+
+
+def _dominated_actions(
+    actions: Collection[Action], table: Optional[dict]
+) -> Set[Action]:
+    """The actions some other action of ``actions`` preempts."""
+    if table is None:
+        table = {}
+    # rho(low) must be a subset of rho(high): a set test prunes most
+    # pairs before the memo is consulted.
+    distinct = [(action, action.resources) for action in actions]
+    dominated: Set[Action] = set()
+    for low, low_resources in distinct:
+        for high, high_resources in distinct:
+            if high is low or not low_resources <= high_resources:
+                continue
+            pair = (low, high)
+            verdict = table.get(pair)
+            if verdict is None:
+                verdict = table[pair] = _action_preempts(low, high)
+            if verdict:
+                dominated.add(low)
                 break
-        if not dominated:
-            keep.append((label, succ))
-    return tuple(keep)
+    return dominated
 
 
 def prioritized_transitions(term, env) -> Tuple[Transition, ...]:

@@ -22,18 +22,25 @@ Rules implemented (paper S3; Lee, Bremond-Gregoire & Gerber 1994):
   detection of unguarded recursion).
 
 The function is pure; memoization lives in the environment's caches
-(``trans_cache`` and the per-component ``table_cache``) and in
-:class:`repro.acsr.definitions.ClosedSystem`.
+(``trans_cache`` and the per-component ``table_cache``), its label
+tables, and :class:`repro.acsr.definitions.ClosedSystem`.
+
+``product_steps(term, env)`` is the explorer's compiled product step:
+the *prioritized* steps of a parallel composition, bare or under a
+restriction, equal to ``prioritized(transitions(term, env))`` order
+included.  It computes every candidate's label first and builds
+successors only for the steps the priority filter keeps.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from operator import attrgetter
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import AcsrDefinitionError, AcsrSemanticsError
 from repro.acsr.events import IN, OUT, EventLabel
+from repro.acsr.priority import unpreempted
 from repro.acsr.resources import Action
 from repro.acsr.terms import (
     ActionPrefix,
@@ -58,24 +65,8 @@ _COMPLEMENT = {IN: OUT, OUT: IN}
 _term_id = attrgetter("_id")
 
 
-def transitions(
-    term: Term, env, *, urgent: bool = False
-) -> Tuple[Transition, ...]:
-    """All unprioritized transitions of a closed term.
-
-    ``urgent=True`` is for callers that prioritize the result next
-    (``ClosedSystem.prioritized_steps``).  When ``term`` is a parallel
-    composition, bare or under a restriction, and enables an internal
-    step of positive priority, its (Par3) timed steps are left out:
-    that step preempts every one of them (``A <. (tau, n)`` for
-    ``n > 0``), so the prioritized relation is unchanged.  Such a
-    result is not the term's full relation and is never cached.
-    """
-    if urgent:
-        if isinstance(term, Parallel):
-            return _trans_parallel(term, env, frozenset(), urgent=True)
-        if isinstance(term, Restrict) and isinstance(term.body, Parallel):
-            return _trans_restrict(term, env, frozenset(), urgent=True)
+def transitions(term: Term, env) -> Tuple[Transition, ...]:
+    """All unprioritized transitions of a closed term."""
     return _trans(term, env, frozenset())
 
 
@@ -174,10 +165,11 @@ def _with_children(
     search insertion instead of the generic flatten-and-sort.
     """
     rest = list(children)
-    if any(isinstance(successor, Parallel) for _, successor in replaced):
-        for index, successor in replaced:
-            rest[index] = successor
-        return parallel(*rest)
+    for _, successor in replaced:
+        if isinstance(successor, Parallel):
+            for index, successor in replaced:
+                rest[index] = successor
+            return parallel(*rest)
     for index, _ in reversed(replaced):
         del rest[index]
     for _, successor in replaced:
@@ -187,34 +179,167 @@ def _with_children(
     return Parallel(tuple(rest))
 
 
-def _component_table(term: Term, env, active: FrozenSet[ProcRef]) -> tuple:
+class _Component:
     """A parallel component's steps, split once for the parallel rule.
 
-    Returns ``(events, timed, sync)``: the event steps as
-    ``(name, label, successor)`` triples in step order, the timed steps,
-    and the non-tau event steps indexed by ``(name, direction)``.  The
-    table lives in the environment's ``table_cache``, not in a global dict:
-    terms are interned process-wide, but a ``ProcRef`` unfolds through
-    its own environment's definitions.
+    ``events`` holds the event steps in step order, ``timed`` the timed
+    steps, ``sync`` the non-tau event steps indexed by
+    ``(name, direction)``, and ``wants`` pairs each of those keys'
+    complement with its steps.  :meth:`free_events` remembers, per
+    enclosing restriction, the event steps it lets through.
     """
-    tables = env.table_cache
-    table = tables.get(term)
-    if table is None:
-        events: List[Tuple[str, EventLabel, Term]] = []
+
+    __slots__ = ("events", "timed", "sync", "wants", "_free")
+
+    def __init__(self, steps: Tuple[Transition, ...]) -> None:
+        events: List[Transition] = []
         timed: List[Transition] = []
         sync: Dict[Tuple[str, str], List[Transition]] = {}
-        for label, succ in _trans(term, env, active):
+        for label, succ in steps:
             if isinstance(label, Action):
                 timed.append((label, succ))
                 continue
-            events.append((label.name, label, succ))
+            events.append((label, succ))
             if not label.is_tau:
                 sync.setdefault((label.name, label.direction), []).append(
                     (label, succ)
                 )
-        table = (tuple(events), tuple(timed), sync)
-        tables.put(term, table)
-    return table
+        self.events = tuple(events)
+        self.timed = tuple(timed)
+        self.sync = sync
+        self.wants = tuple(
+            ((name, _COMPLEMENT[direction]), senders)
+            for (name, direction), senders in sync.items()
+        )
+        self._free: Dict[FrozenSet[str], Tuple[Transition, ...]] = {}
+
+    def free_events(
+        self, restricted: FrozenSet[str]
+    ) -> Tuple[Transition, ...]:
+        """The event steps on names ``restricted`` does not cover (a
+        restricted event can only synchronize)."""
+        free = self._free.get(restricted)
+        if free is None:
+            free = self._free[restricted] = tuple(
+                (label, succ)
+                for label, succ in self.events
+                if label.name not in restricted
+            )
+        return free
+
+
+def _components(
+    children: Tuple[Term, ...], env, active: FrozenSet[ProcRef]
+) -> List[_Component]:
+    """The component entries of ``children``, from the environment's
+    ``table_cache`` -- not a global dict: terms are interned
+    process-wide, but a ``ProcRef`` unfolds through its own
+    environment's definitions."""
+    tables = env.table_cache
+    comps: List[_Component] = []
+    for child in children:
+        entry = tables.get(child)
+        if entry is None:
+            entry = _Component(_trans(child, env, active))
+            tables.put(child, entry)
+        comps.append(entry)
+    return comps
+
+
+def _event_moves(
+    comps: List[_Component],
+    restricted: FrozenSet[str],
+    sync_table: Dict[Tuple[EventLabel, EventLabel], EventLabel],
+) -> Tuple[List[object], List[tuple]]:
+    """The event steps of a parallel composition, as labels and the
+    moves that build their successors: ``((i, succ),)`` when component
+    ``i`` moves alone, ``((i, succ_i), (j, succ_j))`` when ``i < j``
+    synchronize.  Synchronized labels are memoized in ``sync_table``.
+    """
+    labels: List[object] = []
+    moves: List[tuple] = []
+
+    # Event interleaving: one component moves, the rest stand still.
+    # ``offered`` lists the components offering each (name, direction).
+    offered: Dict[Tuple[str, str], List[int]] = {}
+    for i, comp in enumerate(comps):
+        free = comp._free.get(restricted)
+        if free is None:
+            free = comp.free_events(restricted)
+        for label, succ in free:
+            labels.append(label)
+            moves.append(((i, succ),))
+        for key in comp.sync:
+            offered.setdefault(key, []).append(i)
+
+    # CCS-style synchronization between components i < j, in (i, j)
+    # order, visiting only the pairs that offer complementary events.
+    pairs = set()
+    for (name, direction), senders in offered.items():
+        if direction == OUT:
+            for j in offered.get((name, IN), ()):
+                for i in senders:
+                    if i < j:
+                        pairs.add((i, j))
+                    elif j < i:
+                        pairs.add((j, i))
+    for i, j in sorted(pairs):
+        sync_j = comps[j].sync
+        for key, steps_i in comps[i].wants:
+            for label_i, succ_i in steps_i:
+                for label_j, succ_j in sync_j.get(key, ()):
+                    pair = (label_i, label_j)
+                    label = sync_table.get(pair)
+                    if label is None:
+                        label = sync_table[pair] = label_i.synchronize(label_j)
+                    labels.append(label)
+                    moves.append(((i, succ_i), (j, succ_j)))
+    return labels, moves
+
+
+def _timed_moves(
+    comps: List[_Component],
+    union_table: Dict[Tuple[Action, Action], Optional[Action]],
+) -> List[Tuple[Action, tuple]]:
+    """(Par3): simultaneous timed steps with pairwise disjoint resources.
+
+    Every component must take a timed step; a component with none blocks
+    global time progress.  Returns ``(action, path)`` pairs, where the
+    path links the components' successors (last first) as
+    ``(succ, rest)`` cells.  ``union_table`` memoizes, by action pair,
+    the union of two disjoint actions, or ``None`` when they overlap.
+    """
+    combos: List[Tuple[Optional[Action], Optional[tuple]]] = [(None, None)]
+    for comp in comps:
+        options = comp.timed
+        new_combos: List[Tuple[Optional[Action], Optional[tuple]]] = []
+        for acc, path in combos:
+            for label, succ in options:
+                if acc is None:
+                    merged: Optional[Action] = label
+                else:
+                    pair = (acc, label)
+                    if pair in union_table:
+                        merged = union_table[pair]
+                    else:
+                        merged = union_table[pair] = (
+                            acc.union(label) if acc.disjoint(label) else None
+                        )
+                    if merged is None:
+                        continue
+                new_combos.append((merged, (succ, path)))
+        combos = new_combos
+        if not combos:
+            break
+    return combos  # type: ignore[return-value]
+
+
+def _path_successor(path: Optional[tuple]) -> Term:
+    succs: List[Term] = []
+    while path is not None:
+        succ, path = path
+        succs.append(succ)
+    return parallel(*succs)
 
 
 def _trans_parallel(
@@ -222,91 +347,70 @@ def _trans_parallel(
     env,
     active: FrozenSet[ProcRef],
     restricted: FrozenSet[str] = frozenset(),
-    urgent: bool = False,
 ) -> Tuple[Transition, ...]:
     """Steps of a parallel composition; events named in ``restricted``
-    (by an enclosing restriction) only synchronize, and ``urgent`` is
-    as in :func:`transitions`."""
+    (by an enclosing restriction) only synchronize."""
     children = term.children
-    tables = [_component_table(child, env, active) for child in children]
-
-    result: List[Transition] = []
-
-    # Event interleaving: one component moves, the rest stand still.
-    # ``offered`` lists the components offering each (name, direction).
-    offered: Dict[Tuple[str, str], List[int]] = {}
-    syncing: List[Tuple[int, dict]] = []
-    for i, (events, _, sync) in enumerate(tables):
-        for name, label, succ in events:
-            if name not in restricted:
-                succ = _with_children(children, ((i, succ),))
-                result.append((label, succ))
-        if sync:
-            syncing.append((i, sync))
-            for key in sync:
-                offered.setdefault(key, []).append(i)
-
-    # CCS-style synchronization between components i < j, visiting only
-    # the partners that offer a complementary event.
-    for i, sync_i in syncing:
-        wants = [
-            ((name, _COMPLEMENT[direction]), senders)
-            for (name, direction), senders in sync_i.items()
-        ]
-        partners = {j for key, _ in wants for j in offered.get(key, ())}
-        for j in sorted(j for j in partners if j > i):
-            sync_j = tables[j][2]
-            for key, senders in wants:
-                for label_i, succ_i in senders:
-                    for label_j, succ_j in sync_j.get(key, ()):
-                        pair = ((i, succ_i), (j, succ_j))
-                        succ = _with_children(children, pair)
-                        result.append((label_i.synchronize(label_j), succ))
-
-    # (Par3): simultaneous timed steps with pairwise disjoint resources.
-    # Every component must take a timed step; a component with none blocks
-    # global time progress.  Under ``urgent``, an enabled (tau, n > 0)
-    # preempts every such step, so the product is not built.
-    timed_steps = [table[1] for table in tables]
-    if all(timed_steps) and not (
-        urgent
-        and any(
-            label.is_tau and label.int_priority() > 0 for label, _ in result
-        )
-    ):
-        combos: List[Tuple[Action, List[Term]]] = [(None, [])]  # type: ignore[list-item]
-        for options in timed_steps:
-            new_combos: List[Tuple[Action, List[Term]]] = []
-            for acc_action, acc_succs in combos:
-                for label, succ in options:
-                    if acc_action is None:
-                        merged = label
-                    elif acc_action.disjoint(label):
-                        merged = acc_action.union(label)
-                    else:
-                        continue
-                    new_combos.append((merged, acc_succs + [succ]))
-            combos = new_combos
-            if not combos:
-                break
-        for merged, succs in combos:
-            result.append((merged, parallel(*succs)))
-
+    comps = _components(children, env, active)
+    labels, moves = _event_moves(comps, restricted, env.sync_table)
+    result: List[Transition] = [
+        (label, _with_children(children, move))
+        for label, move in zip(labels, moves)
+    ]
+    if all(comp.timed for comp in comps):
+        for merged, path in _timed_moves(comps, env.union_table):
+            result.append((merged, _path_successor(path)))
     return _dedup(result)
 
 
+def product_steps(term: Term, env) -> Tuple[Transition, ...]:
+    """Prioritized steps of a parallel composition, bare or under a
+    restriction: ``prioritized(transitions(term, env))``, computed
+    without building what preemption removes.
+
+    Labels come first and successors only for the steps that survive
+    the priority filter.  An enabled ``(tau, n > 0)`` preempts every
+    timed step, so then the (Par3) product is not enumerated at all.
+    """
+    if isinstance(term, Restrict):
+        wrapper: Optional[Restrict] = term
+        body = term.body
+        restricted = term.names
+    else:
+        wrapper = None
+        body = term
+        restricted = frozenset()
+    children = body.children
+    comps = _components(children, env, frozenset())
+    labels, moves = _event_moves(comps, restricted, env.sync_table)
+    n_events = len(labels)
+    if all(comp.timed for comp in comps) and not any(
+        label.is_tau and label.int_priority() > 0 for label in labels
+    ):
+        for merged, path in _timed_moves(comps, env.union_table):
+            labels.append(merged)
+            moves.append(path)
+    seen: Dict[Transition, None] = {}
+    for k in unpreempted(labels, env.preempt_table):
+        if k < n_events:
+            succ = _with_children(children, moves[k])
+        else:
+            succ = _path_successor(moves[k])
+        if wrapper is not None:
+            succ = wrapper.rewrap(succ)
+        seen.setdefault((labels[k], succ), None)
+    return tuple(seen)
+
+
 def _trans_restrict(
-    term: Restrict,
-    env,
-    active: FrozenSet[ProcRef],
-    urgent: bool = False,
+    term: Restrict, env, active: FrozenSet[ProcRef]
 ) -> Tuple[Transition, ...]:
     names = term.names
     if isinstance(term.body, Parallel):
         # Restriction-aware interleaving: a restricted event of a
         # component can only synchronize, so its interleaving successor
         # is never built just to be deleted here.
-        steps = _trans_parallel(term.body, env, active, names, urgent)
+        steps = _trans_parallel(term.body, env, active, names)
     else:
         steps = [
             (label, succ)
@@ -319,7 +423,7 @@ def _trans_restrict(
         ]
     # The body's steps are already deduplicated and wrapping is
     # injective, so no second dedup pass is needed.
-    return tuple((label, Restrict(succ, names)) for label, succ in steps)
+    return tuple((label, term.rewrap(succ)) for label, succ in steps)
 
 
 def _trans_close(

@@ -296,7 +296,14 @@ class Restrict(Term):
         for name in names:
             if not isinstance(name, str) or not name or name == TAU:
                 raise AcsrSemanticsError(f"invalid restricted event name {name!r}")
+        return cls._interned(body, names)
+
+    @classmethod
+    def _interned(cls, body: Term, names: frozenset) -> "Restrict":
         key = ("restrict", body, names)
+        cached = _TERM_INTERN.get(key)
+        if cached is not None:
+            return cached
 
         def build() -> "Restrict":
             self = object.__new__(cls)
@@ -305,6 +312,12 @@ class Restrict(Term):
             return self
 
         return _intern(key, build)
+
+    def rewrap(self, body: Term) -> "Restrict":
+        """``Restrict(body, self.names)`` without checking the names
+        again: this restriction already did (the successor-wrapping
+        hot path of the explorer)."""
+        return Restrict._interned(body, self.names)
 
     def instantiate(self, env: Mapping[str, int]) -> "Term":
         return Restrict(self.body.instantiate(env), self.names)

@@ -234,9 +234,14 @@ def _rename_label(label: EventLabel, mapping: Dict[str, str]) -> EventLabel:
 def mentioned_names(
     term: Term, cache: Optional[Dict[Term, FrozenSet[str]]] = None
 ) -> FrozenSet[str]:
-    """Every event, resource and process name the term touches."""
+    """Every event, resource and process name the term touches.
+
+    ``cache`` memoizes subterms; it belongs to the caller (one per
+    :func:`build_reduction`), never to the module: an interned term it
+    keyed would outlive the analysis that built it.
+    """
     if cache is None:
-        cache = _MENTIONED_CACHE
+        cache = {}
     cached = cache.get(term)
     if cached is not None:
         return cached
@@ -273,11 +278,6 @@ def mentioned_names(
     result = frozenset(names)
     cache[term] = result
     return result
-
-
-#: Process-global memo: terms are interned, so mentioned-name sets are
-#: shared across reductions (and across analyses in one process).
-_MENTIONED_CACHE: Dict[Term, FrozenSet[str]] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +413,9 @@ def _group_units(
     return groups
 
 
-def _class_is_isolated(env, cls: ReplicaClass) -> bool:
+def _class_is_isolated(
+    env, cls: ReplicaClass, mentioned: Dict[Term, FrozenSet[str]]
+) -> bool:
     """No definition outside the class may touch a class-owned name
     (otherwise permuting the class would not be a system automorphism)."""
     domain = frozenset().union(*cls.name_sets)
@@ -421,7 +423,7 @@ def _class_is_isolated(env, cls: ReplicaClass) -> bool:
     for definition in env:
         if definition.name in owned_procs:
             continue
-        if mentioned_names(definition.body) & domain:
+        if mentioned_names(definition.body, mentioned) & domain:
             return False
     return True
 
@@ -437,7 +439,10 @@ def _restriction_invariant(
 
 
 def detect_replica_classes(
-    translation, *, overeager: bool = False
+    translation,
+    *,
+    overeager: bool = False,
+    mentioned: Optional[Dict[Term, FrozenSet[str]]] = None,
 ) -> List[ReplicaClass]:
     """Find replicated-thread and replicated-processor classes.
 
@@ -446,7 +451,10 @@ def detect_replica_classes(
     case: per-processor RM/DM assignment gives replicated processors
     pairwise-equal priority vectors).  Detection is exact unless
     ``overeager`` injects the ``overeager-sym`` fault (see module doc).
+    ``mentioned`` is the :func:`mentioned_names` memo to share.
     """
+    if mentioned is None:
+        mentioned = {}
     table = translation.names
     env = translation.env
     restricted = frozenset(translation.restricted_events)
@@ -501,7 +509,7 @@ def detect_replica_classes(
         cls
         for cls in classes
         if _restriction_invariant(restricted, cls)
-        and (overeager or _class_is_isolated(env, cls))
+        and (overeager or _class_is_isolated(env, cls, mentioned))
     ]
 
 
@@ -545,8 +553,16 @@ class SymmetryReduction(ReductionPass):
 
     name = "sym"
 
-    def __init__(self, classes: Sequence[ReplicaClass]) -> None:
+    def __init__(
+        self,
+        classes: Sequence[ReplicaClass],
+        mentioned: Optional[Dict[Term, FrozenSet[str]]] = None,
+    ) -> None:
         self.classes = tuple(classes)
+        #: the :func:`mentioned_names` memo of this reduction
+        self._mentioned: Dict[Term, FrozenSet[str]] = (
+            {} if mentioned is None else mentioned
+        )
         # name -> unit index, one map per class (a name may belong to a
         # thread class and its processor class simultaneously).
         self._owners: List[Dict[str, int]] = []
@@ -655,7 +671,7 @@ class SymmetryReduction(ReductionPass):
         owner = self._owners[index]
         units = {
             owner[name]
-            for name in mentioned_names(child)
+            for name in mentioned_names(child, self._mentioned)
             if name in owner
         }
         if len(units) > 1:
@@ -828,11 +844,14 @@ def build_reduction(
         return None
     passes: List[ReductionPass] = []
     if "sym" in names:
+        mentioned: Dict[Term, FrozenSet[str]] = {}
         classes = detect_replica_classes(
-            translation, overeager=fault == "overeager-sym"
+            translation,
+            overeager=fault == "overeager-sym",
+            mentioned=mentioned,
         )
         if classes:
-            passes.append(SymmetryReduction(classes))
+            passes.append(SymmetryReduction(classes, mentioned))
     if "por" in names:
         clusters = build_cluster_map(translation)
         if clusters.n_clusters >= 2:

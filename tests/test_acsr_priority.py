@@ -1,6 +1,7 @@
 """Tests of the preemption relation and the prioritized semantics."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.acsr import (
     ProcessEnv,
@@ -24,6 +25,35 @@ from repro.acsr.resources import Action
 
 def A(*pairs):
     return Action(pairs)
+
+
+def pairwise_prioritized(steps):
+    """The prioritized relation by its definition: drop every step some
+    coenabled step preempts (the executable spec of ``prioritized``)."""
+    labels = [label for label, _ in steps]
+    return tuple(
+        step
+        for i, step in enumerate(steps)
+        if not any(
+            i != j and preempts(step[0], other)
+            for j, other in enumerate(labels)
+        )
+    )
+
+
+PRIORITIES = st.integers(min_value=0, max_value=3)
+ACTIONS = st.dictionaries(
+    st.sampled_from(["cpu", "bus", "mem"]), PRIORITIES, max_size=3
+).map(lambda pairs: Action(pairs.items()))
+TAUS = st.builds(tau_label, PRIORITIES, st.sampled_from([None, "a", "b"]))
+EVENTS = st.builds(
+    event_label, st.sampled_from(["a", "b"]), st.sampled_from([IN, OUT]),
+    PRIORITIES,
+)
+STEP_LISTS = st.lists(
+    st.tuples(st.one_of(ACTIONS, TAUS, EVENTS), st.integers(0, 3)),
+    max_size=12,
+)
 
 
 class TestActionPreemption:
@@ -119,6 +149,20 @@ class TestPrioritizedRelation:
         pri = prioritized_transitions(proc("P"), env)
         assert set(pri) <= set(unpri)
         assert len(pri) == 1
+
+
+    @given(STEP_LISTS)
+    def test_linear_filter_equals_pairwise_spec(self, steps):
+        """The linear filter keeps exactly the steps the pairwise
+        definition keeps, in the same order, duplicates included."""
+        assert prioritized(steps) == pairwise_prioritized(steps)
+
+    @given(STEP_LISTS)
+    def test_label_table_does_not_change_the_result(self, steps):
+        table = {}
+        first = prioritized(steps, table)
+        assert first == prioritized(steps, table)
+        assert first == pairwise_prioritized(steps)
 
 
 class TestSchedulingScenario:

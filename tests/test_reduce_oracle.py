@@ -1,5 +1,8 @@
 """The reduced ≡ unreduced oracle relation and its CLI command."""
 
+import gc
+
+from repro.acsr.terms import Term
 from repro.analysis import Verdict
 from repro.cli import main
 from repro.oracle import run_relation
@@ -32,7 +35,20 @@ class TestAgreementRelation:
         assert equal(Verdict.UNSCHEDULABLE, Verdict.UNKNOWN) is UNKNOWN
 
 
+def live_terms() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, Term))
+
+
 class TestReduceCampaign:
+    def test_campaign_keeps_no_term_alive(self):
+        """Every seed runs in an intern scope, so once the campaign is
+        over nothing may still hold one of its terms -- in particular
+        no module-level memo of the reduction passes."""
+        before = live_terms()
+        run_relation("reduce", seeds=5)
+        assert live_terms() == before
+
     def test_case_is_seed_reproducible(self):
         first = evaluate(11)
         second = evaluate(11)

@@ -1,11 +1,13 @@
 """Differential tests of the fast successor path.
 
-``ClosedSystem.prioritized_steps`` builds its steps through the
-restriction- and urgency-aware parallel rule and the per-component step
-tables of :mod:`repro.acsr.semantics`.  On every reachable state its
-tuple must equal ``prioritized(transitions(state, env))`` exactly --
-labels, successor objects and order -- so verdicts, counterexample
-traces and BFS order cannot depend on the fast path.
+``ClosedSystem.prioritized_steps`` builds the steps of a parallel
+composition, bare or under a restriction, with the compiled product
+step of :mod:`repro.acsr.semantics`: per-component step tables, the
+environment's label tables and the linear priority filter.  On every
+reachable state its tuple must equal
+``prioritized(transitions(state, env))`` exactly -- labels, successor
+objects and order -- so verdicts, counterexample traces and BFS order
+cannot depend on the fast path.
 """
 
 import glob
@@ -183,6 +185,61 @@ def test_multiprocessor_draws(processors, seed, utilization, offsets):
             rng=rng,
         )
     assert_fast_path_matches(translate(instance).system)
+
+
+#: The explore benchmark's shapes: (processors, threads per processor).
+BENCHMARK_SHAPES = ((2, 3), (3, 2))
+#: Twelve draws in the benchmark's shape, U/cpu stepping through
+#: [0.4, 0.95]; the last two are unschedulable.
+BENCHMARK_DRAWS = [(index, 0.4 + 0.05 * index) for index in range(12)]
+#: The environment's label tables, as ``cache_stats()`` names them.
+LABEL_TABLES = ("sync_table", "union_table", "preempt_table")
+
+
+def benchmark_draw(index, utilization):
+    return translate(
+        multiprocessor_system(
+            *BENCHMARK_SHAPES[index % 2],
+            utilization_per_processor=utilization,
+            shared_bus=True,
+            rng=np.random.default_rng([2006, index]),
+        )
+    ).system
+
+
+def test_benchmark_draws_include_unschedulable_models():
+    deadlocked = [
+        index
+        for index, utilization in BENCHMARK_DRAWS
+        if explore(benchmark_draw(index, utilization)).deadlock_states
+    ]
+    assert len(deadlocked) >= 2
+
+
+@pytest.mark.parametrize(
+    "index,utilization", BENCHMARK_DRAWS, ids=lambda value: f"{value:g}"
+)
+def test_benchmark_shape_draws(index, utilization):
+    """The compiled product step on the benchmark's own state shape
+    (a restriction over ~14 components, one shared bus)."""
+    system = benchmark_draw(index, utilization)
+    assert_fast_path_matches(system)
+    first = explore(system, store_transitions=True)
+    env = system.env
+    tables = (env.sync_table, env.union_table, env.preempt_table)
+    assert env.sync_table, "the draw synchronizes nothing"
+    stats = system.cache_stats()
+    assert [stats[name] for name in LABEL_TABLES] == [
+        len(table) for table in tables
+    ]
+    system.clear_cache()
+    assert [len(table) for table in tables] == [0, 0, 0]
+    assert [system.cache_stats()[name] for name in LABEL_TABLES] == [0, 0, 0]
+    again = explore(system, store_transitions=True)
+    assert again.states() == first.states()
+    assert again.deadlock_states == first.deadlock_states
+    for state in first.states():
+        assert again.transitions_of(state) == first.transitions_of(state)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
