@@ -84,24 +84,9 @@ class ProcessEnv:
     :class:`ClosedSystem` built over this environment.  They must not be
     process-global: terms are interned process-wide, but a ``ProcRef``
     unfolds through its own environment.
-
-    Three label tables, keyed by interned label pairs, memoize the
-    product's label algebra: ``sync_table`` (the ``tau`` of a send and
-    a receive), ``union_table`` (the (Par3) union of two actions, or
-    ``None`` when they share a resource) and ``preempt_table``
-    (action-vs-action preemption).  They live here for their lifetime:
-    a process-global dict would keep every label and action alive.
     """
 
-    __slots__ = (
-        "_defs",
-        "_unfold_cache",
-        "trans_cache",
-        "table_cache",
-        "sync_table",
-        "union_table",
-        "preempt_table",
-    )
+    __slots__ = ("_defs", "_unfold_cache", "trans_cache", "table_cache")
 
     def __init__(self) -> None:
         self._defs: Dict[str, ProcessDef] = {}
@@ -111,9 +96,6 @@ class ProcessEnv:
         self.trans_cache = TransitionCache(name="semantics")
         #: per-component step tables of the parallel rule.
         self.table_cache = TransitionCache(name="tables")
-        self.sync_table: Dict[tuple, object] = {}
-        self.union_table: Dict[tuple, object] = {}
-        self.preempt_table: Dict[tuple, bool] = {}
 
     def define(
         self,
@@ -212,26 +194,14 @@ class ProcessEnv:
             "unfold_cache": len(self._unfold_cache),
             "trans_cache": self.trans_cache.stats(),
             "table_cache": self.table_cache.stats(),
-            **self.label_table_sizes(),
-        }
-
-    def label_table_sizes(self) -> Dict[str, int]:
-        """Entries in each of the three label tables."""
-        return {
-            "sync_table": len(self.sync_table),
-            "union_table": len(self.union_table),
-            "preempt_table": len(self.preempt_table),
         }
 
     def clear_cache(self) -> None:
-        """Drop the unfold, transition, table and label memos
-        (long-lived sessions)."""
+        """Drop the unfold, transition and table memos (long-lived
+        sessions)."""
         self._unfold_cache.clear()
         self.trans_cache.clear()
         self.table_cache.clear()
-        self.sync_table.clear()
-        self.union_table.clear()
-        self.preempt_table.clear()
 
 
 def _collect_refs(term: Term) -> List[Tuple[str, int]]:
@@ -328,7 +298,7 @@ class ClosedSystem:
             ):
                 cached = product_steps(term, env)
             else:
-                cached = prioritized(transitions(term, env), env.preempt_table)
+                cached = prioritized(transitions(term, env))
             self._prio_cache.put(term, cached)
         return cached
 
@@ -356,7 +326,6 @@ class ClosedSystem:
             "trans_cache": len(self.env.trans_cache),
             "table_cache": len(self.env.table_cache),
             "unfold_cache": len(self.env._unfold_cache),
-            **self.env.label_table_sizes(),
             "detail": {
                 cache.name: cache.stats() for cache in self.caches()
             },
@@ -366,8 +335,8 @@ class ClosedSystem:
         """Drop every memo table so long-lived sessions can bound memory.
 
         Clears the step and prioritization caches of this system plus
-        the shared environment caches (semantics memo, component tables,
-        label tables and unfoldings).
+        the shared environment caches (semantics memo, component tables
+        and unfoldings).
         Subsequent explorations rebuild them on demand.
         """
         self._step_cache.clear()

@@ -25,7 +25,7 @@ each comparable family.
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Sequence, Set, Tuple
 
 from repro.acsr.events import TAU, EventLabel
 from repro.acsr.resources import Action
@@ -74,18 +74,12 @@ def _action_preempts(low: Action, high: Action) -> bool:
     return strict
 
 
-def prioritized(
-    steps: Sequence[Transition], table: Optional[dict] = None
-) -> Tuple[Transition, ...]:
-    """Remove every step whose label is preempted by a coenabled step
-    (``table`` as in :func:`unpreempted`)."""
-    kept = unpreempted([label for label, _ in steps], table)
-    return tuple(steps[i] for i in kept)
+def prioritized(steps: Sequence[Transition]) -> Tuple[Transition, ...]:
+    """Remove every step whose label is preempted by a coenabled step."""
+    return tuple(steps[i] for i in unpreempted([label for label, _ in steps]))
 
 
-def unpreempted(
-    labels: Sequence[object], table: Optional[dict] = None
-) -> List[int]:
+def unpreempted(labels: Sequence[object]) -> List[int]:
     """Indices, in order, of the labels no other label preempts.
 
     Equal to testing :func:`preempts` on every pair, in linear time
@@ -93,8 +87,6 @@ def unpreempted(
     highest of its family (all ``tau`` labels are one family, each
     non-tau ``(name, direction)`` another), any ``(tau, n > 0)`` drops
     every action, and only the distinct actions are compared pairwise.
-    ``table`` memoizes that comparison by label pair; it belongs to the
-    caller (a :class:`~repro.acsr.definitions.ProcessEnv`).
     """
     top: Dict[object, int] = {}
     actions: Dict[Action, None] = {}
@@ -113,7 +105,7 @@ def unpreempted(
     if top.get(TAU, 0) > 0:
         dominated: Collection[Action] = actions
     else:
-        dominated = _dominated_actions(actions, table)
+        dominated = _dominated_actions(actions)
     return [
         i
         for i, (label, priority) in enumerate(zip(labels, priorities))
@@ -125,25 +117,17 @@ def unpreempted(
     ]
 
 
-def _dominated_actions(
-    actions: Collection[Action], table: Optional[dict]
-) -> Set[Action]:
+def _dominated_actions(actions: Collection[Action]) -> Set[Action]:
     """The actions some other action of ``actions`` preempts."""
-    if table is None:
-        table = {}
     # rho(low) must be a subset of rho(high): a set test prunes most
-    # pairs before the memo is consulted.
+    # pairs before the full comparison.
     distinct = [(action, action.resources) for action in actions]
     dominated: Set[Action] = set()
     for low, low_resources in distinct:
         for high, high_resources in distinct:
             if high is low or not low_resources <= high_resources:
                 continue
-            pair = (low, high)
-            verdict = table.get(pair)
-            if verdict is None:
-                verdict = table[pair] = _action_preempts(low, high)
-            if verdict:
+            if _action_preempts(low, high):
                 dominated.add(low)
                 break
     return dominated

@@ -22,8 +22,8 @@ Rules implemented (paper S3; Lee, Bremond-Gregoire & Gerber 1994):
   detection of unguarded recursion).
 
 The function is pure; memoization lives in the environment's caches
-(``trans_cache`` and the per-component ``table_cache``), its label
-tables, and :class:`repro.acsr.definitions.ClosedSystem`.
+(``trans_cache`` and the per-component ``table_cache``) and in
+:class:`repro.acsr.definitions.ClosedSystem`.
 
 ``product_steps(term, env)`` is the explorer's compiled product step:
 the *prioritized* steps of a parallel composition, bare or under a
@@ -165,11 +165,10 @@ def _with_children(
     search insertion instead of the generic flatten-and-sort.
     """
     rest = list(children)
-    for _, successor in replaced:
-        if isinstance(successor, Parallel):
-            for index, successor in replaced:
-                rest[index] = successor
-            return parallel(*rest)
+    if any(isinstance(successor, Parallel) for _, successor in replaced):
+        for index, successor in replaced:
+            rest[index] = successor
+        return parallel(*rest)
     for index, _ in reversed(replaced):
         del rest[index]
     for _, successor in replaced:
@@ -186,7 +185,8 @@ class _Component:
     steps, ``sync`` the non-tau event steps indexed by
     ``(name, direction)``, and ``wants`` pairs each of those keys'
     complement with its steps.  :meth:`free_events` remembers, per
-    enclosing restriction, the event steps it lets through.
+    enclosing restriction, the event steps it lets through.  Two entries
+    are equal when their steps are; the rest derives from them.
     """
 
     __slots__ = ("events", "timed", "sync", "wants", "_free")
@@ -212,6 +212,15 @@ class _Component:
             for (name, direction), senders in sync.items()
         )
         self._free: Dict[FrozenSet[str], Tuple[Transition, ...]] = {}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Component):
+            return NotImplemented
+        return (self.events, self.timed, self.sync) == (
+            other.events,
+            other.timed,
+            other.sync,
+        )
 
     def free_events(
         self, restricted: FrozenSet[str]
@@ -247,14 +256,12 @@ def _components(
 
 
 def _event_moves(
-    comps: List[_Component],
-    restricted: FrozenSet[str],
-    sync_table: Dict[Tuple[EventLabel, EventLabel], EventLabel],
+    comps: List[_Component], restricted: FrozenSet[str]
 ) -> Tuple[List[object], List[tuple]]:
     """The event steps of a parallel composition, as labels and the
     moves that build their successors: ``((i, succ),)`` when component
     ``i`` moves alone, ``((i, succ_i), (j, succ_j))`` when ``i < j``
-    synchronize.  Synchronized labels are memoized in ``sync_table``.
+    synchronize.
     """
     labels: List[object] = []
     moves: List[tuple] = []
@@ -263,10 +270,7 @@ def _event_moves(
     # ``offered`` lists the components offering each (name, direction).
     offered: Dict[Tuple[str, str], List[int]] = {}
     for i, comp in enumerate(comps):
-        free = comp._free.get(restricted)
-        if free is None:
-            free = comp.free_events(restricted)
-        for label, succ in free:
+        for label, succ in comp.free_events(restricted):
             labels.append(label)
             moves.append(((i, succ),))
         for key in comp.sync:
@@ -288,26 +292,18 @@ def _event_moves(
         for key, steps_i in comps[i].wants:
             for label_i, succ_i in steps_i:
                 for label_j, succ_j in sync_j.get(key, ()):
-                    pair = (label_i, label_j)
-                    label = sync_table.get(pair)
-                    if label is None:
-                        label = sync_table[pair] = label_i.synchronize(label_j)
-                    labels.append(label)
+                    labels.append(label_i.synchronize(label_j))
                     moves.append(((i, succ_i), (j, succ_j)))
     return labels, moves
 
 
-def _timed_moves(
-    comps: List[_Component],
-    union_table: Dict[Tuple[Action, Action], Optional[Action]],
-) -> List[Tuple[Action, tuple]]:
+def _timed_moves(comps: List[_Component]) -> List[Tuple[Action, tuple]]:
     """(Par3): simultaneous timed steps with pairwise disjoint resources.
 
     Every component must take a timed step; a component with none blocks
     global time progress.  Returns ``(action, path)`` pairs, where the
     path links the components' successors (last first) as
-    ``(succ, rest)`` cells.  ``union_table`` memoizes, by action pair,
-    the union of two disjoint actions, or ``None`` when they overlap.
+    ``(succ, rest)`` cells.
     """
     combos: List[Tuple[Optional[Action], Optional[tuple]]] = [(None, None)]
     for comp in comps:
@@ -317,16 +313,10 @@ def _timed_moves(
             for label, succ in options:
                 if acc is None:
                     merged: Optional[Action] = label
+                elif acc.disjoint(label):
+                    merged = acc.union(label)
                 else:
-                    pair = (acc, label)
-                    if pair in union_table:
-                        merged = union_table[pair]
-                    else:
-                        merged = union_table[pair] = (
-                            acc.union(label) if acc.disjoint(label) else None
-                        )
-                    if merged is None:
-                        continue
+                    continue
                 new_combos.append((merged, (succ, path)))
         combos = new_combos
         if not combos:
@@ -352,13 +342,13 @@ def _trans_parallel(
     (by an enclosing restriction) only synchronize."""
     children = term.children
     comps = _components(children, env, active)
-    labels, moves = _event_moves(comps, restricted, env.sync_table)
+    labels, moves = _event_moves(comps, restricted)
     result: List[Transition] = [
         (label, _with_children(children, move))
         for label, move in zip(labels, moves)
     ]
     if all(comp.timed for comp in comps):
-        for merged, path in _timed_moves(comps, env.union_table):
+        for merged, path in _timed_moves(comps):
             result.append((merged, _path_successor(path)))
     return _dedup(result)
 
@@ -382,16 +372,16 @@ def product_steps(term: Term, env) -> Tuple[Transition, ...]:
         restricted = frozenset()
     children = body.children
     comps = _components(children, env, frozenset())
-    labels, moves = _event_moves(comps, restricted, env.sync_table)
+    labels, moves = _event_moves(comps, restricted)
     n_events = len(labels)
     if all(comp.timed for comp in comps) and not any(
         label.is_tau and label.int_priority() > 0 for label in labels
     ):
-        for merged, path in _timed_moves(comps, env.union_table):
+        for merged, path in _timed_moves(comps):
             labels.append(merged)
             moves.append(path)
     seen: Dict[Transition, None] = {}
-    for k in unpreempted(labels, env.preempt_table):
+    for k in unpreempted(labels):
         if k < n_events:
             succ = _with_children(children, moves[k])
         else:

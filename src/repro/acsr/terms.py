@@ -301,9 +301,6 @@ class Restrict(Term):
     @classmethod
     def _interned(cls, body: Term, names: frozenset) -> "Restrict":
         key = ("restrict", body, names)
-        cached = _TERM_INTERN.get(key)
-        if cached is not None:
-            return cached
 
         def build() -> "Restrict":
             self = object.__new__(cls)

@@ -157,13 +157,6 @@ class TestPrioritizedRelation:
         definition keeps, in the same order, duplicates included."""
         assert prioritized(steps) == pairwise_prioritized(steps)
 
-    @given(STEP_LISTS)
-    def test_label_table_does_not_change_the_result(self, steps):
-        table = {}
-        first = prioritized(steps, table)
-        assert first == prioritized(steps, table)
-        assert first == pairwise_prioritized(steps)
-
 
 class TestSchedulingScenario:
     def test_higher_priority_thread_wins_cpu(self, env):

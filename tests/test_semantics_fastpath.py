@@ -2,8 +2,8 @@
 
 ``ClosedSystem.prioritized_steps`` builds the steps of a parallel
 composition, bare or under a restriction, with the compiled product
-step of :mod:`repro.acsr.semantics`: per-component step tables, the
-environment's label tables and the linear priority filter.  On every
+step of :mod:`repro.acsr.semantics`: per-component step tables and
+the linear priority filter.  On every
 reachable state its tuple must equal
 ``prioritized(transitions(state, env))`` exactly -- labels, successor
 objects and order -- so verdicts, counterexample traces and BFS order
@@ -192,8 +192,6 @@ BENCHMARK_SHAPES = ((2, 3), (3, 2))
 #: Twelve draws in the benchmark's shape, U/cpu stepping through
 #: [0.4, 0.95]; the last two are unschedulable.
 BENCHMARK_DRAWS = [(index, 0.4 + 0.05 * index) for index in range(12)]
-#: The environment's label tables, as ``cache_stats()`` names them.
-LABEL_TABLES = ("sync_table", "union_table", "preempt_table")
 
 
 def benchmark_draw(index, utilization):
@@ -225,16 +223,7 @@ def test_benchmark_shape_draws(index, utilization):
     system = benchmark_draw(index, utilization)
     assert_fast_path_matches(system)
     first = explore(system, store_transitions=True)
-    env = system.env
-    tables = (env.sync_table, env.union_table, env.preempt_table)
-    assert env.sync_table, "the draw synchronizes nothing"
-    stats = system.cache_stats()
-    assert [stats[name] for name in LABEL_TABLES] == [
-        len(table) for table in tables
-    ]
     system.clear_cache()
-    assert [len(table) for table in tables] == [0, 0, 0]
-    assert [system.cache_stats()[name] for name in LABEL_TABLES] == [0, 0, 0]
     again = explore(system, store_transitions=True)
     assert again.states() == first.states()
     assert again.deadlock_states == first.deadlock_states
