@@ -74,8 +74,9 @@ class AnalysisRequest:
     names); ``reduce`` is a reduction-pass spec.  ``max_window`` caps
     the hier flattened or modal transient window, ``max_phasings`` the
     modal switch phasings, and ``fault`` injects a hier or modal
-    self-test fault.  ``island`` restricts the analysis to one
-    processor island.
+    self-test fault -- or, with ``reduce`` and no decomposition, a
+    registered reduction fault into every exploration the request
+    runs.  ``island`` restricts the analysis to one processor island.
 
     Construction canonicalizes ``reduce`` and ``island`` and raises
     :class:`~repro.errors.RequestError` for a combination no layer
@@ -186,10 +187,26 @@ class AnalysisRequest:
             return "protocol applies to modes='modal' only"
         if self.max_phasings is not None and not modal:
             return "max_phasings applies to modes='modal' only"
-        if (self.max_window or self.fault) and not (modal or hier):
+        if modal or hier:
+            return None
+        if self.max_window:
             return (
-                "max_window and fault apply to modes='modal' or "
+                "max_window applies to modes='modal' or "
                 "decomposition='hier' only"
+            )
+        if self.fault is None:
+            return None
+        if self.reduce is None or self.decomposition or self.island:
+            return (
+                "fault applies to modes='modal', decomposition='hier' or "
+                "reduce without decomposition or island only"
+            )
+        from repro.engine.reduce import REDUCTION_FAULTS
+
+        if self.fault not in REDUCTION_FAULTS:
+            return (
+                f"unknown reduction fault {self.fault!r}; choose from "
+                f"{sorted(REDUCTION_FAULTS)}"
             )
         return None
 
@@ -350,6 +367,7 @@ def _analyze_configuration(request, model, root, shared):
             max_states=request.max_states,
             analyzer=PortfolioAnalyzer(tiers_from_token(request.tiers)),
             reduction=request.reduce,
+            reduction_fault=request.fault,
             steady_mode=steady,
         )
     from repro.analysis.schedulability import analyze_model
@@ -359,4 +377,5 @@ def _analyze_configuration(request, model, root, shared):
         quantum=quantum,
         max_states=request.max_states,
         reduction=request.reduce,
+        reduction_fault=request.fault,
     )

@@ -18,11 +18,9 @@ scenario.  The CLI exposes each step plus the baselines::
     repro analyze model.aadl --compose              # island decomposition
     repro compose plan model.aadl                   # partition, no analysis
     repro oracle run --seeds 200 --profile smoke    # differential campaign
-    repro oracle compose --seeds 50                 # compositional =? monolithic
     repro analyze model.aadl --reduce               # symmetry + POR reduction
-    repro oracle reduce --seeds 50                  # reduced =? unreduced
+    repro oracle request --seeds 60 --jobs 2        # layered =? plain, pooled
     repro oracle replay artifacts/oracle/x.json     # re-run a repro bundle
-    repro oracle portfolio --seeds 50 --jobs 2      # any campaign, pooled
     repro analyze model.aadl --trace out.jsonl      # record a span trace
     repro trace summary out.jsonl                   # per-stage profile
 

@@ -22,7 +22,7 @@ Whenever decomposition would be unsound (multi-modal model) or useless
 (single processor, fully coupled graph) the driver falls back to the
 monolithic analysis and records why.  The compositional ≡ monolithic
 agreement is continuously cross-checked by the differential oracle
-relation in :mod:`repro.oracle.compose`.
+relation in :mod:`repro.oracle.request`.
 
 See ``docs/compose.md``.
 """

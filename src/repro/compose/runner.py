@@ -15,8 +15,8 @@ Every island is analyzed with the *full* model's natural quantum, not
 its own: an island's GCD can be coarser than the whole model's, and a
 coarser quantum changes preemption points.  Pinning the quantum makes
 island-by-island exploration semantically a projection of the
-monolithic one, which is what the compositional oracle relation
-(:mod:`repro.oracle.compose`) checks end to end.
+monolithic one, which is what the request oracle relation
+(:mod:`repro.oracle.request`) checks end to end.
 """
 
 from __future__ import annotations

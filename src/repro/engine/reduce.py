@@ -29,7 +29,7 @@ Two pluggable :class:`ReductionPass`es sit between the
 Both passes preserve deadlock reachability exactly (see
 ``docs/reduction.md`` for the soundness arguments), so the verdict --
 including honest UNKNOWN on truncation -- is unchanged; the seeded
-oracle relation :mod:`repro.oracle.reduce` gates this end to end.
+oracle relation :mod:`repro.oracle.request` gates this end to end.
 
 Fault injection: ``build_reduction(..., fault="overeager-sym")``
 deliberately skips the definition-equality verification when pairing

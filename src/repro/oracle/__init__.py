@@ -19,17 +19,20 @@ This subpackage turns that cross-check into a first-class subsystem:
   classical oracles (``repro oracle run``);
 * :mod:`~repro.oracle.faults` -- injectable translator defects that
   prove the harness catches what it is supposed to catch;
+* :mod:`~repro.oracle.request` -- the ``request`` relation: every
+  combination of portfolio, reduction, compose and all-modes against
+  plain exploration of the same source (``repro oracle request``);
 * :mod:`~repro.oracle.relations` -- the one seeded campaign driver,
-  pooled through :mod:`repro.batch`, for every relation: ``run`` and
-  the layer-vs-reference relations (compose, reduce, hier, modal,
-  portfolio), each defined in its own module
+  pooled through :mod:`repro.batch`, for every relation: ``run``,
+  ``request``, and the ``hier`` and ``modal`` relations against their
+  exact simulations, each defined in its own module
   (``repro oracle <relation>``).
 
 See ``docs/oracle.md`` for the agreement matrix and caveats.
 """
 
 # relations first: it loads every relation module, and the relation
-# modules import its types (and, for portfolio, campaign's profiles).
+# modules import its types.
 from repro.oracle.relations import (
     RELATIONS,
     Relation,

@@ -13,8 +13,8 @@ the model as specified.
 
 Reduction faults are a separate registry
 (:data:`repro.engine.reduce.REDUCTION_FAULTS`, exercised by ``repro
-oracle reduce --fault ...``): they perturb the reduction passes rather
-than the task set, so the reduced-vs-unreduced campaign can prove it
+oracle request --fault ...``): they perturb the reduction passes rather
+than the task set, so the layered-vs-plain campaign can prove it
 catches an unsound reduction.
 """
 

@@ -114,6 +114,21 @@ def _reference_transition(
     return True
 
 
+def draw(seed: int):
+    """The fault/recovery modal system of ``seed`` (root
+    ``FaultyModal.impl``): every parameter -- mode count, threads,
+    utilizations, orphan mode -- derives from the seed."""
+    rng = np.random.default_rng(seed)
+    n_modes = int(rng.integers(2, 4))
+    threads_per_mode = int(rng.integers(1, 4))
+    return faulty_modal_system(
+        n_modes,
+        threads_per_mode,
+        include_orphan=bool(rng.random() < 0.25),
+        rng=rng,
+    )
+
+
 def evaluate(
     seed: int,
     *,
@@ -123,23 +138,14 @@ def evaluate(
 ) -> RelationOutcome:
     """Draw one fault/recovery modal system from ``seed`` and compare
     the transition-aware analysis against the steady and transient
-    references.  Every parameter (mode count, threads, utilizations,
-    orphan mode) derives from the seed, so a failing seed reproduces
-    byte-for-byte."""
+    references.  The draw (:func:`draw`) derives from the seed alone,
+    so a failing seed reproduces byte-for-byte."""
     from repro.aadl.instance import instantiate
     from repro.analysis.schedulability import Verdict, analyze_model
     from repro.modal import analyze_modal
     from repro.modal.analysis import _steady_unit_map
 
-    rng = np.random.default_rng(seed)
-    n_modes = int(rng.integers(2, 4))
-    threads_per_mode = int(rng.integers(1, 4))
-    model = faulty_modal_system(
-        n_modes,
-        threads_per_mode,
-        include_orphan=bool(rng.random() < 0.25),
-        rng=rng,
-    )
+    model = draw(seed)
     impl = model.implementation(_ROOT)
     modal = analyze_modal(
         model,

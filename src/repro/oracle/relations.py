@@ -3,15 +3,17 @@
 The ``run`` relation checks the paper's own claim -- the pipeline
 verdict against the classical analyses, classified by
 :func:`repro.oracle.verdicts.classify`.  Each analysis layer grown
-around the pipeline -- compose, portfolio, reduce, hier, modal -- is
-trusted only because a seeded campaign pits it against plain
-exploration or an exact simulation.  A relation is a :class:`Relation`
-record: a seeded ``evaluate`` that draws one case, runs both sides and
-classifies them, plus the parameters and fault registry the CLI
-exposes.  The layer relations share two classifiers:
+around the pipeline is trusted only because a seeded campaign pits it
+against a reference: ``request`` runs every combination of the
+exploring layers (portfolio, reduction, compose, all modes) against
+plain exploration, and ``hier`` and ``modal`` check partitions and
+transitions against exact simulations.  A relation is a
+:class:`Relation` record: a seeded ``evaluate`` that draws one case,
+runs both sides and classifies them, plus the parameters and fault
+registry the CLI exposes.  The layer relations share two classifiers:
 
-* :func:`equal` -- UNKNOWN-aware equivalence of two verdicts (compose,
-  reduce, portfolio): budget exhaustion on either side is not evidence
+* :func:`equal` -- UNKNOWN-aware equivalence of two verdicts (the
+  request relation): budget exhaustion on either side is not evidence
   of unsoundness.
 * :func:`implies` -- one-sided soundness (hier per partition, modal per
   transition): a pass on the side under test must be a pass on the
@@ -250,6 +252,12 @@ def run_relation(
         **{param.name: param.default for param in relation.params},
         **params,
     }
+    fault = params.get("fault")
+    if fault is not None and fault not in relation.faults:
+        raise SchedError(
+            f"unknown fault {fault!r} for the {name} relation; choose "
+            f"from {sorted(relation.faults)}"
+        )
     evaluated = dict(params)
     if cache is not None and cache is not False:
         if not relation.cached:
@@ -298,17 +306,10 @@ def run_relation(
 
 # The relation modules build their records from the types above, so
 # they are imported only once those exist.
-from repro.oracle import (  # noqa: E402
-    campaign,
-    compose,
-    hier,
-    modal,
-    portfolio,
-    reduce,
-)
+from repro.oracle import campaign, hier, modal, request  # noqa: E402
 
 #: Every relation by its ``repro oracle`` verb, in CLI help order.
 RELATIONS: Dict[str, Relation] = {
     module.RELATION.name: module.RELATION
-    for module in (campaign, compose, reduce, hier, modal, portfolio)
+    for module in (campaign, request, hier, modal)
 }

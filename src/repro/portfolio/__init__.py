@@ -12,7 +12,7 @@ This package chains them in escalating cost order --
 (:class:`~repro.portfolio.tiers.Soundness`), witnesses synthesized for
 analytic UNSCHEDULABLE verdicts, and per-tier counters on the engine
 stats.  ``repro analyze --portfolio``, the compose runner and the batch
-pool route through :func:`analyze_portfolio`; the ``oracle portfolio``
+pool route through :func:`analyze_portfolio`; the ``oracle request``
 relation cross-checks it against pure exploration.  See
 ``docs/portfolio.md``.
 """

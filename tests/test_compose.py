@@ -4,7 +4,7 @@ the compositional driver end to end."""
 import pytest
 
 from repro.errors import ComposeError, TranslationError
-from repro.aadl import SystemSlice, slice_instance
+from repro.aadl import SystemSlice, format_model, slice_instance
 from repro.aadl.builder import SystemBuilder
 from repro.aadl.gallery import (
     coupled_islands,
@@ -19,6 +19,7 @@ from repro.analysis import Verdict, analyze_model
 from repro.analysis.request import AnalysisRequest, IslandSpec
 from repro.batch import AnalysisJob, execute_job
 from repro.batch.cache import cache_key
+from repro.cli import main
 from repro.compose import (
     CouplingEdge,
     Island,
@@ -541,3 +542,111 @@ class TestComposeTracing:
         ]
         assert len(partition_spans) == 1
         assert partition_spans[0].attrs["decomposable"] is False
+
+
+# ---------------------------------------------------------------------------
+# analyze --compose and compose plan
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def dual_file(tmp_path):
+    path = tmp_path / "dual.aadl"
+    path.write_text(format_model(dual_island().declarative))
+    return str(path)
+
+
+@pytest.fixture()
+def coupled_file(tmp_path):
+    path = tmp_path / "coupled.aadl"
+    path.write_text(format_model(coupled_islands().declarative))
+    return str(path)
+
+
+class TestComposeCli:
+    def test_analyze_compose_schedulable(self, dual_file, capsys):
+        assert main(["analyze", dual_file, "--compose", "--jobs", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "compose: 2 islands" in out
+        assert "verdict: schedulable" in out
+
+    def test_analyze_compose_unschedulable(self, tmp_path, capsys):
+        path = tmp_path / "bad.aadl"
+        path.write_text(
+            format_model(dual_island(schedulable=False).declarative)
+        )
+        assert (
+            main(["analyze", str(path), "--compose", "--jobs", "1"]) == 1
+        )
+        out = capsys.readouterr().out
+        assert "counterexample island: island-1-cpu2" in out
+
+    def test_analyze_compose_fallback_logs_reason(
+        self, coupled_file, capsys
+    ):
+        assert (
+            main(["analyze", coupled_file, "--compose", "--jobs", "1"])
+            == 0
+        )
+        captured = capsys.readouterr()
+        assert "monolithic fallback" in captured.err
+        assert "coupled" in captured.err
+        assert "verdict: schedulable" in captured.out
+
+    def test_compose_rejects_multiple_files(
+        self, dual_file, coupled_file, capsys
+    ):
+        assert (
+            main(["analyze", dual_file, coupled_file, "--compose"]) == 2
+        )
+        assert "exactly one model" in capsys.readouterr().err
+
+    def test_compose_all_modes_needs_a_modal_root(self, dual_file, capsys):
+        """--compose composes with --all-modes now (one decomposition
+        per steady mode); a modeless root is still an error."""
+        assert (
+            main(["analyze", dual_file, "--compose", "--all-modes"]) == 2
+        )
+        assert "declares no modes" in capsys.readouterr().err
+
+    def test_compose_plan_decomposable(self, dual_file, capsys):
+        assert main(["compose", "plan", dual_file]) == 0
+        out = capsys.readouterr().out
+        assert "islands: 2" in out
+
+    def test_compose_plan_coupled(self, coupled_file, capsys):
+        assert main(["compose", "plan", coupled_file]) == 0
+        out = capsys.readouterr().out
+        assert "fallback: monolithic" in out
+        assert "[event]" in out
+
+    def test_compose_with_cache(self, dual_file, tmp_path, capsys):
+        cache_dir = str(tmp_path / "cache")
+        args = [
+            "analyze", dual_file, "--compose", "--jobs", "1",
+            "--cache-dir", cache_dir,
+        ]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        assert "[cached]" in capsys.readouterr().out
+
+    def test_compose_trace_records_stages(self, dual_file, tmp_path):
+        trace = str(tmp_path / "trace.jsonl")
+        assert (
+            main(
+                [
+                    "analyze", dual_file, "--compose", "--jobs", "1",
+                    "--trace", trace,
+                ]
+            )
+            == 0
+        )
+        from repro.obs import COMPOSE_STAGES, validate_file
+
+        records = validate_file(trace)
+        names = {
+            r["name"] for r in records if r.get("type") == "span"
+        }
+        for stage in COMPOSE_STAGES:
+            assert stage in names

@@ -81,7 +81,9 @@ FAULT_WINDOWS = {
     ("run", "deadline-as-period"): dict(seeds=3),
     # The only offset-sensitive case among the first 400 smoke seeds.
     ("run", "ignore-offsets"): dict(base_seed=299, seeds=1),
-    ("reduce", "overeager-sym"): dict(seeds=8, base_seed=100),
+    # Seeds 4 (a harmonic smoke case under sym) and 7 (a modal system
+    # under sym) merge threads the fault must not merge.
+    ("request", "overeager-sym"): dict(seeds=8),
     ("hier", "inflate-alpha"): dict(seeds=50),
     ("modal", "shrink-transient-window"): dict(seeds=12),
 }
@@ -108,9 +110,14 @@ def test_fault_is_caught(name, fault, tmp_path, monkeypatch):
 
 class TestRegistry:
     def test_relations_in_cli_order(self):
-        assert list(RELATIONS) == [
-            "run", "compose", "reduce", "hier", "modal", "portfolio",
-        ]
+        assert list(RELATIONS) == ["run", "request", "hier", "modal"]
+
+    @pytest.mark.parametrize("verb", ["portfolio", "compose", "reduce"])
+    def test_layer_verbs_are_folded_into_request(self, verb, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", verb, "--seeds", "1"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_cli_flags_follow_the_records(self):
         """Each verb takes the shared flags plus its record's parameters,
@@ -137,9 +144,9 @@ class TestRegistry:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["compose", "--coupled-fraction", "0.5"],
-            ["reduce", "--jitter-fraction", "0.5"],
-            ["reduce", "--spec", "sym"],
+            ["request", "--coupled-fraction", "0.5"],
+            ["request", "--jitter-fraction", "0.5"],
+            ["request", "--spec", "sym"],
         ],
     )
     def test_single_value_flags_are_gone(self, argv, capsys):
@@ -158,7 +165,7 @@ class TestRegistry:
         )
 
     def test_cache_is_refused_where_no_relation_keeps_one(self, capsys):
-        assert main(["oracle", "compose", "--seeds", "1", "--cache"]) == 2
+        assert main(["oracle", "request", "--seeds", "1", "--cache"]) == 2
         assert "keeps no verdict cache" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -200,9 +207,9 @@ class TestRunner:
     def test_pooled_trace_merges_worker_spans(self):
         tracer = Tracer()
         with activate(tracer):
-            run_relation("compose", seeds=2, jobs=2)
+            run_relation("request", seeds=2, jobs=2)
         names = [s.name for s in tracer.spans]
-        assert "oracle.compose" in names
+        assert "oracle.request" in names
         assert names.count("batch.job") == 2
 
     def test_progress_reports_each_case(self, capsys):

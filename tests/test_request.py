@@ -163,11 +163,46 @@ class TestRejections:
             {"max_states": 0},
             {"quantum_ps": "5"},
             {"root": 3},
+            {"reduce": "sym", "fault": "inflate-alpha"},
+            {"reduce": "sym", "fault": "no-such"},
+            {"reduce": "sym", "decomposition": "compose",
+             "fault": "overeager-sym"},
+            {"max_window": 8},
         ],
     )
     def test_combinations_no_layer_implements(self, fields):
         with pytest.raises(RequestError):
             AnalysisRequest(source="x", **fields)
+
+
+class TestReductionFault:
+    """With ``reduce`` set, ``fault`` names a reduction fault and
+    reaches every exploration the request runs."""
+
+    def test_unknown_name_is_refused_at_construction(self):
+        with pytest.raises(RequestError, match="unknown reduction fault"):
+            AnalysisRequest(source="x", reduce="sym", fault="no-such")
+
+    def test_fault_reaches_exploration(self):
+        from repro.oracle.request import FAMILIES
+
+        # A jittered replicated draw: symmetry must not fire, and the
+        # fault merges the replicas anyway.
+        _, model = FAMILIES["replicated"][0](66)
+        source = format_model(model)
+        faulted = AnalysisRequest(
+            source=source, reduce="sym", fault="overeager-sym"
+        )
+        direct = analyze_model(
+            instantiate(model, infer_root(model)),
+            reduction="sym",
+            reduction_fault="overeager-sym",
+        )
+        assert _outcome(lambda: analyze(faulted, model=model)) == (
+            direct.verdict, direct.num_states,
+        )
+        honest = analyze(AnalysisRequest(source=source, reduce="sym"))
+        assert honest.verdict is not direct.verdict
 
 
 def _shapes(model, root):
