@@ -1,110 +1,81 @@
-"""The reduced ≡ unreduced oracle relation and its CLI command."""
+"""The reduction layer under the request oracle: every reduced draw must
+reach the unreduced verdict, symmetry must merge orbits only on
+symmetric replicas, and POR must prune."""
 
-import gc
-
-from repro.acsr.terms import Term
-from repro.analysis import Verdict
 from repro.cli import main
+from repro.engine.reduce import REDUCTION_FAULTS
 from repro.oracle import run_relation
-from repro.oracle.reduce import evaluate, equal
+from repro.oracle.request import evaluate, plan
 from repro.oracle.verdicts import AgreementStatus
-
-AGREED = AgreementStatus.AGREED
-DISAGREED = AgreementStatus.DISAGREED
-UNKNOWN = AgreementStatus.UNKNOWN
-
-
-class TestAgreementRelation:
-    """The reduce oracle classifies with the UNKNOWN-aware equality."""
-
-    def test_equal_decided_verdicts_agree(self):
-        assert equal(Verdict.SCHEDULABLE, Verdict.SCHEDULABLE) is AGREED
-        assert (
-            equal(Verdict.UNSCHEDULABLE, Verdict.UNSCHEDULABLE) is AGREED
-        )
-
-    def test_decided_mismatch_disagrees(self):
-        assert (
-            equal(Verdict.SCHEDULABLE, Verdict.UNSCHEDULABLE) is DISAGREED
-        )
-
-    def test_unknown_is_not_a_disagreement(self):
-        """Reduction changes which prefix a truncated run covers, so a
-        budget-bound UNKNOWN on either side is never unsoundness."""
-        assert equal(Verdict.UNKNOWN, Verdict.SCHEDULABLE) is UNKNOWN
-        assert equal(Verdict.UNSCHEDULABLE, Verdict.UNKNOWN) is UNKNOWN
-
-
-def live_terms() -> int:
-    gc.collect()
-    return sum(1 for obj in gc.get_objects() if isinstance(obj, Term))
 
 
 class TestReduceCampaign:
-    def test_campaign_keeps_no_term_alive(self):
-        """Every seed runs in an intern scope, so once the campaign is
-        over nothing may still hold one of its terms -- in particular
-        no module-level memo of the reduction passes."""
-        before = live_terms()
-        run_relation("reduce", seeds=5)
-        assert live_terms() == before
-
     def test_case_is_seed_reproducible(self):
-        first = evaluate(11)
-        second = evaluate(11)
-        assert first.status is second.status
-        assert first.label == second.label  # jittered or symmetric
-        assert first.counts == second.counts
+        assert plan(6) == (
+            "replicated",
+            {"tiers": None, "reduce": "sym", "decomposition": None},
+        )
+        first = evaluate(6)
+        second = evaluate(6)
+        assert first == second
+        assert first.counts["reduce.orbits_merged"] > 0
 
     def test_small_campaign_agrees_and_reduces(self):
-        report = run_relation("reduce", seeds=8, base_seed=100)
-        assert len(report.outcomes) == 8
-        assert report.disagreements == []
-        # The passes must actually fire somewhere in the campaign.
-        assert report.counts["orbits_merged"] > 0
-        assert report.counts["por_pruned"] > 0
-        # The draw must include both symmetric and jittered systems.
-        assert {o.label for o in report.outcomes} == {
-            "jittered", "symmetric",
-        }
+        # The replicated draws that reduce with no tier to decide first.
+        outcomes = [
+            evaluate(seed)
+            for seed in range(60)
+            if plan(seed)[0] == "replicated"
+            and plan(seed)[1]["reduce"]
+            and not plan(seed)[1]["tiers"]
+        ]
+        assert len(outcomes) == 6
+        assert [
+            o for o in outcomes if o.status is AgreementStatus.DISAGREED
+        ] == []
+        # Both passes fire somewhere, on both kinds of replica.
+        assert sum(o.counts["reduce.orbits_merged"] for o in outcomes) > 0
+        assert sum(o.counts["reduce.por_pruned"] for o in outcomes) > 0
+        kinds = {o.label.split()[1] for o in outcomes}
+        assert kinds == {"jittered", "symmetric"}
+        # Offset jitter breaks the symmetry: no orbit may merge there.
+        assert all(
+            o.counts["reduce.orbits_merged"] == 0
+            for o in outcomes
+            if "jittered" in o.label
+        )
 
     def test_report_format(self):
-        report = run_relation("reduce", seeds=4, base_seed=100)
+        # Seeds 20-23 draw every family under sym,por alone.
+        report = run_relation("request", seeds=4, base_seed=20)
+        assert all(o.label.endswith(" [sym,por]") for o in report.outcomes)
         text = report.format()
-        assert "reduce campaign [sym,por]: 4 case(s)" in text
+        assert "request campaign: 4 case(s) (base seed 20)" in text
         assert "disagreed: 0" in text
-        assert "orbits_merged:" in text
-        assert "por_pruned:" in text
+        assert "reduce.orbits_merged:" in text
+        assert "reduce.por_pruned:" in text
 
 
 class TestCli:
     def test_oracle_reduce_command(self, capsys):
-        assert main(["oracle", "reduce", "--seeds", "4",
-                     "--base-seed", "100"]) == 0
+        assert main(["oracle", "request", "--seeds", "4",
+                     "--base-seed", "20"]) == 0
         out = capsys.readouterr().out
-        assert "reduce campaign [sym,por]: 4 case(s)" in out
+        assert "request campaign: 4 case(s) (base seed 20)" in out
         assert "disagreed: 0" in out
-
-    def test_oracle_reduce_fault_exits_nonzero(self, capsys):
-        assert (
-            main(
-                [
-                    "oracle", "reduce", "--seeds", "8",
-                    "--base-seed", "100", "--fault", "overeager-sym",
-                ]
-            )
-            == 1
-        )
-        assert "DISAGREED" in capsys.readouterr().out
+        assert "reduce.por_pruned: 0" not in out
 
     def test_unknown_fault_is_a_usage_error(self, capsys):
         assert (
             main(
                 [
-                    "oracle", "reduce", "--seeds", "1",
+                    "oracle", "request", "--seeds", "1",
                     "--fault", "no-such-fault",
                 ]
             )
             == 2
         )
-        assert "unknown reduction fault" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown fault 'no-such-fault'" in err
+        # The request relation offers the reduction faults.
+        assert all(fault in err for fault in REDUCTION_FAULTS)

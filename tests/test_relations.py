@@ -169,15 +169,25 @@ class TestRegistry:
         assert "keeps no verdict cache" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "name", [r.name for r in RELATIONS.values() if r.faults]
+        "name, fault",
+        [
+            *[
+                pytest.param(r.name, "no-such", id=r.name)
+                for r in RELATIONS.values()
+                if r.faults
+            ],
+            # The request relation takes the reduction faults only, so
+            # another relation's fault is unknown to it.
+            pytest.param("request", "inflate-alpha", id="reduce"),
+        ],
     )
-    def test_unknown_fault_is_a_usage_error(self, name, capsys):
+    def test_unknown_fault_is_a_usage_error(self, name, fault, capsys):
         assert (
-            main(["oracle", name, "--seeds", "1", "--fault", "no-such"])
+            main(["oracle", name, "--seeds", "1", "--fault", fault])
             == 2
         )
         err = capsys.readouterr().err
-        assert "unknown" in err and "fault 'no-such'" in err
+        assert "unknown" in err and f"fault {fault!r}" in err
 
 
 class TestRunner:
@@ -198,10 +208,24 @@ class TestRunner:
         assert span.attrs["disagreed"] == 0
         assert span.attrs["partitions"] == partitions
 
-    @pytest.mark.parametrize("name", list(RELATIONS))
-    def test_pooled_equals_inline(self, name):
-        inline = run_relation(name, seeds=4, jobs=1)
-        pooled = run_relation(name, seeds=4, jobs=2)
+    #: Four seeds of each relation; the request relation's seeds
+    #: 4k..4k+3 draw every family under one layer combination, so it
+    #: runs once per layer and once with every layer on.
+    POOLED_WINDOWS = {
+        "run": ("run", 0),
+        "request": ("request", 56),
+        "hier": ("hier", 0),
+        "modal": ("modal", 0),
+        "compose": ("request", 0),
+        "portfolio": ("request", 28),
+        "reduce": ("request", 20),
+    }
+
+    @pytest.mark.parametrize("window", list(POOLED_WINDOWS))
+    def test_pooled_equals_inline(self, window):
+        name, base_seed = self.POOLED_WINDOWS[window]
+        inline = run_relation(name, seeds=4, base_seed=base_seed, jobs=1)
+        pooled = run_relation(name, seeds=4, base_seed=base_seed, jobs=2)
         assert pooled.outcomes == inline.outcomes
 
     def test_pooled_trace_merges_worker_spans(self):
