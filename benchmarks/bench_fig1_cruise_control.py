@@ -11,7 +11,7 @@ import pytest
 from repro.aadl.gallery import cruise_control
 from repro.analysis import Verdict, analyze_model
 from repro.translate import translate
-from repro.versa import Explorer
+from repro.engine import Budget, explore
 
 from conftest import print_table
 
@@ -72,7 +72,7 @@ def test_exploration_exhaustive(benchmark):
     translation = translate(cruise_control())
 
     def run():
-        return Explorer(translation.system, max_states=1_000_000).run()
+        return explore(translation.system, budget=Budget(max_states=1_000_000))
 
     exploration = benchmark(run)
     assert exploration.completed and exploration.deadlock_free

@@ -21,7 +21,8 @@ from repro.acsr import (
     send,
 )
 from repro.acsr.resources import Action
-from repro.versa import Explorer, find_deadlock
+from repro.engine import explore
+from repro.versa import find_deadlock
 
 from conftest import print_table
 
@@ -123,10 +124,10 @@ def test_figure2b_idling_waits_for_resource(benchmark):
     _bus_hog(env)
     system = env.close(parallel(proc("Simple"), proc("Hog")))
 
-    def explore():
-        return Explorer(system).run()
+    def run():
+        return explore(system)
 
-    result = benchmark(explore)
+    result = benchmark(run)
     assert result.deadlock_free
     print_table(
         "FIG2 idling vs non-idling while a hog holds the bus",

@@ -11,7 +11,8 @@ import pytest
 
 from repro.acsr import parse_env
 from repro.acsr.resources import Action
-from repro.versa import Explorer, find_reachable
+from repro.engine import explore
+from repro.versa import find_reachable
 from repro.versa.queries import contains_proc
 
 from conftest import print_table
@@ -42,7 +43,7 @@ def system():
 
 
 def test_exploration(benchmark, system):
-    result = benchmark(lambda: Explorer(system).run())
+    result = benchmark(lambda: explore(system))
     assert result.completed
     assert result.deadlock_free
     print_table(

@@ -12,7 +12,7 @@ from repro.aadl.builder import SystemBuilder
 from repro.aadl.properties import DispatchProtocol, SchedulingProtocol, ms
 from repro.analysis import Verdict, analyze_model
 from repro.translate import translate
-from repro.versa import Explorer
+from repro.engine import explore
 
 from conftest import print_table
 
@@ -78,10 +78,10 @@ def test_skeleton_states_visited(benchmark):
     instance = single_thread(DispatchProtocol.PERIODIC)
     translation = translate(instance)
 
-    def explore():
-        return Explorer(translation.system, store_transitions=True).run()
+    def run():
+        return explore(translation.system, store_transitions=True)
 
-    result = benchmark(explore)
+    result = benchmark(run)
     seen_kinds = set()
     from repro.analysis.raising import _components
 

@@ -133,11 +133,9 @@ def test_preemption_branch_reachable(benchmark):
     assert result.verdict is Verdict.SCHEDULABLE
     # Dig out a Compute state with s > e (preempted at least once).
     from repro.analysis.raising import _components
-    from repro.versa import Explorer
+    from repro.engine import explore
 
-    exploration = Explorer(
-        result.translation.system, store_transitions=True
-    ).run()
+    exploration = explore(result.translation.system, store_transitions=True)
     preempted = False
     for state in exploration.states():
         for ref in _components(state):

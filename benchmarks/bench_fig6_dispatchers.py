@@ -18,7 +18,7 @@ from repro.aadl.gallery import aperiodic_worker, sporadic_consumer
 from repro.aadl.properties import DispatchProtocol, SchedulingProtocol, ms
 from repro.analysis import Verdict, analyze_model
 from repro.translate import translate
-from repro.versa import Explorer
+from repro.engine import Budget, explore
 
 from conftest import print_table
 
@@ -129,12 +129,14 @@ def test_sporadic_dispatch_spacing(benchmark):
     )
     translation = translate(instance)
 
-    def explore():
-        return Explorer(
-            translation.system, store_transitions=True, max_states=200_000
-        ).run()
+    def run():
+        return explore(
+            translation.system,
+            budget=Budget(max_states=200_000),
+            store_transitions=True,
+        )
 
-    result = benchmark(explore)
+    result = benchmark(run)
     assert result.completed
 
     # From each post-dispatch state, count timed steps to the next

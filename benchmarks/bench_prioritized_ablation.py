@@ -13,7 +13,7 @@ import pytest
 
 from repro.aadl.gallery import cruise_control, two_periodic_threads
 from repro.translate import translate
-from repro.versa import Explorer
+from repro.engine import Budget, explore
 
 from conftest import print_table
 
@@ -22,12 +22,16 @@ def test_cruise_control_reduction(benchmark):
     translation = translate(cruise_control())
 
     def run():
-        pri = Explorer(
-            translation.system, prioritized=True, max_states=2_000_000
-        ).run()
-        unpri = Explorer(
-            translation.system, prioritized=False, max_states=2_000_000
-        ).run()
+        pri = explore(
+            translation.system,
+            prioritized=True,
+            budget=Budget(max_states=2_000_000),
+        )
+        unpri = explore(
+            translation.system,
+            prioritized=False,
+            budget=Budget(max_states=2_000_000),
+        )
         return pri, unpri
 
     pri, unpri = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -55,10 +59,12 @@ def test_priorities_carry_the_verdict(benchmark):
     translation = translate(two_periodic_threads(schedulable=True))
 
     def run():
-        pri = Explorer(translation.system, prioritized=True).run()
-        unpri = Explorer(
-            translation.system, prioritized=False, max_states=500_000
-        ).run()
+        pri = explore(translation.system, prioritized=True)
+        unpri = explore(
+            translation.system,
+            prioritized=False,
+            budget=Budget(max_states=500_000),
+        )
         return pri, unpri
 
     pri, unpri = benchmark.pedantic(run, rounds=1, iterations=1)

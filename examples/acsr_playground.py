@@ -15,7 +15,8 @@ from repro.acsr import (
     format_term,
     parse_env,
 )
-from repro.versa import LTS, Explorer, bisimulation_quotient, find_reachable
+from repro.engine import explore
+from repro.versa import LTS, bisimulation_quotient, find_reachable
 from repro.versa.queries import contains_proc
 
 # Figure 2b + Figure 3, in concrete syntax.  Simple computes one step on
@@ -59,7 +60,7 @@ def main() -> None:
 
     print()
     print("=== exhaustive exploration ===")
-    result = Explorer(system, store_transitions=True).run()
+    result = explore(system, store_transitions=True)
     print(f"  {result}")
 
     for target, description in (

@@ -36,6 +36,7 @@ from repro.errors import AnalysisError
 from repro.aadl.components import DeclarativeModel
 from repro.aadl.properties import TimeValue
 from repro.analysis.schedulability import Verdict
+from repro.engine.stats import EngineStats
 
 
 @dataclasses.dataclass
@@ -57,8 +58,6 @@ class ModeOutcome:
 
     @classmethod
     def from_job(cls, mode: str, result) -> "ModeOutcome":
-        from repro.engine.stats import EngineStats
-
         if result.verdict == "error":
             raise AnalysisError(f"mode {mode}: {result.error}")
         return cls(
@@ -67,11 +66,7 @@ class ModeOutcome:
             num_states=result.states,
             scenario=getattr(result.analysis, "scenario", None),
             decided_by=getattr(result.analysis, "decided_by", None),
-            stats=(
-                EngineStats.from_dict(result.stats)
-                if result.stats is not None
-                else None
-            ),
+            stats=result.stats and EngineStats.from_dict(result.stats),
             cached=result.cached,
             rendered=result.rendered,
         )
@@ -111,6 +106,13 @@ class ModalAnalysisResult:
         return sum(o.num_states for o in self.per_mode.values())
 
     @property
+    def stats(self) -> EngineStats:
+        """The modes' stats, folded by :func:`repro.batch.pool.fold_stats`."""
+        from repro.batch.pool import fold_stats
+
+        return fold_stats(self.per_mode.values())
+
+    @property
     def failing_modes(self) -> List[str]:
         return [
             mode
@@ -137,13 +139,8 @@ class ModalAnalysisResult:
                 lines.append(f"  failing scenario in mode {mode}:")
                 lines.append(scenario.format())
         if show_stats:
-            from repro.engine.stats import EngineStats
-
-            stats = EngineStats.aggregate(
-                o.stats for o in self.per_mode.values()
-            )
             lines.append("  engine stats:")
-            lines.extend(f"    {line}" for line in stats.format().splitlines())
+            lines.extend("    " + s for s in self.stats.format().splitlines())
         return "\n".join(lines)
 
     def __repr__(self) -> str:

@@ -23,6 +23,7 @@ from repro.engine.budget import Budget
 from repro.engine.core import explore
 from repro.engine.observers import Observer
 from repro.engine.result import ExplorationResult
+from repro.engine.stats import EngineStats
 from repro.engine.strategies import SearchStrategy
 from repro.aadl.components import DeclarativeModel
 from repro.aadl.instance import SystemInstance, instantiate
@@ -122,6 +123,10 @@ class AnalysisResult:
     def elapsed(self) -> float:
         return self.exploration.elapsed
 
+    @property
+    def stats(self) -> Optional[EngineStats]:
+        return self.exploration.stats
+
     def format(self, *, show_stats: bool = False) -> str:
         lines = [
             f"verdict: {self.verdict.value}",
@@ -133,9 +138,9 @@ class AnalysisResult:
             lines.append(f"quantum: {quantizer.quantum}")
         if self.decided_by is not None:
             lines.append(f"decided by: {self.decided_by}")
-        if show_stats and self.exploration.stats is not None:
+        if show_stats and self.stats is not None:
             lines.append("engine stats:")
-            for stat_line in self.exploration.stats.format().splitlines():
+            for stat_line in self.stats.format().splitlines():
                 lines.append(f"  {stat_line}")
         if self.scenario is not None:
             lines.append("failing scenario:")

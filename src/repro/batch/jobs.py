@@ -381,19 +381,16 @@ def execute_job(job: AnalysisJob) -> JobResult:
 
 def _job_result(job: AnalysisJob, analysis) -> JobResult:
     """The JobResult of any layer's result object (verdict, states,
-    format, plus elapsed time and engine stats where the layer keeps
-    them)."""
-    exploration = getattr(analysis, "exploration", None)
-    stats = getattr(analysis, "stats", None)
-    if stats is None and exploration is not None:
-        stats = exploration.stats
+    format and engine stats, plus elapsed time where the layer keeps
+    it)."""
+    stats = analysis.stats
     return JobResult(
         job_id=job.job_id,
         kind=job.kind,
         verdict=analysis.verdict.value,
         states=analysis.num_states,
         elapsed=getattr(analysis, "elapsed", 0.0),
-        limit_hit=exploration.limit_hit if exploration is not None else None,
+        limit_hit=stats.limit_hit if stats is not None else None,
         stats=stats.as_dict() if stats is not None else None,
         rendered=analysis.format(),
         analysis=analysis,
@@ -412,7 +409,7 @@ def _execute_case(job: AnalysisJob) -> JobResult:
         max_states=job.options.get("max_states", 300_000),
         fault=get_fault(fault) if fault else None,
     )
-    stats = pipeline.exploration.stats
+    stats = pipeline.stats
     return JobResult(
         job_id=job.job_id,
         kind=job.kind,

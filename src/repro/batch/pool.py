@@ -12,9 +12,9 @@
 3. fans the remaining misses across a process pool (``workers``
    processes, default ``os.cpu_count()``; ``workers=1`` runs inline
    with no pool overhead);
-4. merges every per-job :class:`~repro.engine.stats.EngineStats`
-   snapshot -- workers serialize them as dicts -- into one aggregate,
-   with verdict-cache hit/miss counters folded in;
+4. folds the per-job :class:`~repro.engine.stats.EngineStats`
+   snapshots -- workers serialize them as dicts -- into one aggregate
+   with :func:`fold_stats`, the rule every composite verdict reports by;
 5. writes freshly computed results back to the cache.
 
 Crash safety: a worker that *raises* is already contained inside
@@ -171,6 +171,27 @@ def _run_pool(
             finish(index, JobResult.from_dict(data))
 
 
+def fold_stats(
+    children, *, strategy: str = "aggregate", wall_elapsed=None
+) -> EngineStats:
+    """The engine stats of a verdict made of child verdicts (a batch, a
+    composition's islands, a model's modes): a child that ran adds its
+    stats (an :class:`EngineStats` or its dict), a verdict-cache hit
+    adds one ``batch.verdict_cache_hits`` and none of the work stored
+    with it, and an in-batch duplicate adds nothing."""
+    children = [c for c in children if not getattr(c, "deduped", False)]
+    ran = [c.stats for c in children if not c.cached]
+    total = EngineStats.aggregate(
+        (EngineStats.from_dict(s) if isinstance(s, dict) else s for s in ran),
+        strategy=strategy,
+        wall_elapsed=wall_elapsed,
+    )
+    hits = sum(c.cached for c in children)
+    if hits:
+        total.counters["batch.verdict_cache_hits"] = hits
+    return total
+
+
 class BatchReport:
     """Everything one batch run produced, in input order."""
 
@@ -287,7 +308,6 @@ def run_batch(
     )
     started = time.perf_counter()
     # Counter baseline, so a shared cache instance reports per-run deltas.
-    hits0 = store.hits if store is not None else 0
     misses0 = store.misses if store is not None else 0
 
     results: List[Optional[JobResult]] = [None] * len(jobs)
@@ -389,18 +409,8 @@ def run_batch(
     # (a CPU-time sum once jobs ran in parallel) but takes its
     # ``wall_elapsed`` -- the states/s denominator -- from the pool's
     # own wall clock, measured right here.
-    stats = EngineStats.aggregate(
-        (
-            EngineStats.from_dict(result.stats)
-            for result in final
-            if result.stats is not None
-            and not result.cached
-            and not result.deduped
-        ),
-        wall_elapsed=wall,
-    )
+    stats = fold_stats(final, wall_elapsed=wall)
     if store is not None:
-        stats.counters["batch.verdict_cache_hits"] = store.hits - hits0
         stats.counters["batch.verdict_cache_misses"] = store.misses - misses0
     report = BatchReport(
         results=final,

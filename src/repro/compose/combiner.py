@@ -16,10 +16,12 @@ into a verdict, matching what the monolithic pipeline would do.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis.schedulability import Verdict
+from repro.batch.pool import fold_stats
 from repro.compose.coupling import Island, Partition
+from repro.engine.stats import EngineStats
 from repro.errors import ComposeError
 
 
@@ -45,7 +47,7 @@ class IslandOutcome:
         verdict: Verdict,
         states: int,
         elapsed: float,
-        stats: Optional[Dict[str, Any]] = None,
+        stats: Optional[EngineStats] = None,
         rendered: Optional[str] = None,
         cached: bool = False,
         error: Optional[str] = None,
@@ -104,6 +106,13 @@ class CompositionResult:
             return sum(outcome.states for outcome in self.outcomes)
         return self.monolithic.num_states if self.monolithic else 0
 
+    @property
+    def stats(self) -> Optional[EngineStats]:
+        """The islands' stats (:func:`~repro.batch.pool.fold_stats`)."""
+        if self.compositional:
+            return fold_stats(self.outcomes)
+        return self.monolithic.stats if self.monolithic else None
+
     def format(self, *, show_stats: bool = False) -> str:
         if not self.compositional:
             lines = [
@@ -125,15 +134,8 @@ class CompositionResult:
             )
         lines.append(f"verdict: {self.verdict.value}")
         if show_stats:
-            from repro.engine.stats import EngineStats
-
-            stats = EngineStats.aggregate(
-                EngineStats.from_dict(outcome.stats)
-                for outcome in self.outcomes
-                if outcome.stats is not None
-            )
             lines.append("engine stats:")
-            lines.extend(f"  {line}" for line in stats.format().splitlines())
+            lines.extend("  " + s for s in self.stats.format().splitlines())
         culprit = self.first_unschedulable()
         if culprit is not None and culprit.rendered:
             lines.append(f"counterexample island: {culprit.island.label}")

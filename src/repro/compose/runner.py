@@ -41,6 +41,7 @@ from repro.compose.combiner import (
     combine_outcomes,
 )
 from repro.compose.coupling import Partition, partition_instance
+from repro.engine.stats import EngineStats
 from repro.translate.quantum import TimingQuantizer
 
 ProgressFn = Callable[[int, int, JobResult], None]
@@ -249,7 +250,7 @@ def analyze_compositionally(
                     verdict=verdict,
                     states=result.states,
                     elapsed=result.elapsed,
-                    stats=result.stats,
+                    stats=result.stats and EngineStats.from_dict(result.stats),
                     rendered=result.rendered,
                     cached=result.cached,
                     error=result.error,
@@ -352,13 +353,12 @@ def _screen_islands(
         )
         if result is None:
             continue
-        stats = result.exploration.stats
         decided[island.label] = IslandOutcome(
             island=island,
             verdict=result.verdict,
             states=0,
             elapsed=result.elapsed,
-            stats=stats.as_dict() if stats is not None else None,
+            stats=result.stats,
             rendered=result.format(),
         )
     return decided

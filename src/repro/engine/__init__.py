@@ -23,8 +23,7 @@ layers:
   ``docs/reduction.md``.
 
 See ``docs/engine.md`` for the architecture and how to add a custom
-search strategy.  ``repro.versa.Explorer`` remains as a thin
-compatibility shim over this engine.
+search strategy.
 """
 
 from repro.engine.budget import (

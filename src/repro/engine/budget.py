@@ -8,8 +8,8 @@ at the boundary.  :class:`Budget` centralizes the three limits (states,
 transitions, wall-clock seconds) and the single policy switch:
 
 * ``on_limit="raise"`` -- exceeding any limit raises
-  :class:`~repro.errors.ExplorationLimitError` (the historical
-  ``Explorer`` default, right for tests and scripted pipelines);
+  :class:`~repro.errors.ExplorationLimitError` (the default,
+  right for tests and scripted pipelines);
 * ``on_limit="truncate"`` -- the search stops and returns a result with
   ``completed=False`` and ``limit_hit`` naming the exhausted budget
   (right for interactive use and the UNKNOWN verdict).

@@ -1,11 +1,11 @@
 """Exploration results: the verdict-bearing output of the engine.
 
 :class:`ExplorationResult` is the one result type shared by every
-search strategy and every driver (``versa.Explorer`` compatibility
-shim, queries, LTS export, schedulability analysis, CLI).  Besides the
-historical surface (states, transitions, deadlocks, traces) it carries
-the :class:`~repro.engine.stats.EngineStats` snapshot of the run and an
-explicit ``limit_hit`` marker naming the exhausted budget, if any.
+search strategy and every driver (queries, LTS export, schedulability
+analysis, CLI).  Besides states, transitions, deadlocks and traces it
+carries the :class:`~repro.engine.stats.EngineStats` snapshot of the run
+and an explicit ``limit_hit`` marker naming the exhausted budget, if
+any.
 """
 
 from __future__ import annotations

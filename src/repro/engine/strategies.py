@@ -12,8 +12,7 @@ Built in:
 
 * :class:`BreadthFirst` -- FIFO frontier; the first deadlock found lies
   on a *shortest* path, which keeps raised AADL counterexamples minimal
-  and readable.  This is the paper's (and the ``Explorer`` shim's)
-  default.
+  and readable.  This is the paper's default.
 * :class:`DepthFirst` -- LIFO frontier; same discovered set on a full
   exploration, much smaller frontier on deep spaces; counterexamples
   are not minimal.

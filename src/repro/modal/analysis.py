@@ -178,6 +178,7 @@ def analyze_modal(
     (:data:`repro.modal.transient.PROTOCOLS`); ``fault`` injects a
     registered transient-checker defect for oracle self-tests.
     """
+    from repro.batch.pool import fold_stats
     from repro.obs.tracer import current_tracer
 
     if protocol not in PROTOCOLS:
@@ -250,8 +251,8 @@ def analyze_modal(
             escalations += 1
         outcomes.append(outcome)
 
-    stats = EngineStats.aggregate(
-        (o.stats for o in steady.per_mode.values()),
+    stats = fold_stats(
+        steady.per_mode.values(),
         strategy="modal",
         wall_elapsed=time.perf_counter() - started,
     )

@@ -249,7 +249,7 @@ def _shrink_and_save(
         pipeline, oracles, classification = evaluate_case(
             candidate, max_states=budget, fault=injected
         )
-        stats = pipeline.exploration.stats
+        stats = pipeline.stats
         counts["shrink_runs"] += 1
         _tally(
             counts,

@@ -42,7 +42,6 @@ from repro.analysis.request import DEFAULT_TIERS, AnalysisRequest, analyze
 from repro.analysis.schedulability import Verdict
 from repro.compose.combiner import CompositionResult
 from repro.engine.reduce import REDUCTION_FAULTS
-from repro.engine.stats import EngineStats
 from repro.oracle import modal
 from repro.oracle.campaign import PROFILES, draw_case
 from repro.oracle.relations import (
@@ -133,13 +132,16 @@ def plan(seed: int) -> Tuple[str, Dict[str, Optional[str]]]:
     return family, COMBOS[(seed // len(FAMILIES)) % len(COMBOS)]
 
 
+def _analytic(result) -> bool:
+    """Whether a tier, not exploration, decided ``result``."""
+    return getattr(result, "decided_by", None) not in (None, "exploration")
+
+
 def _witness_note(result) -> str:
     """Why an analytic UNSCHEDULABLE fails the witness cross-check, or
     the empty string when there is no such claim or its evidence holds
     up."""
-    if result.verdict is not Verdict.UNSCHEDULABLE:
-        return ""
-    if getattr(result, "decided_by", None) in (None, "exploration"):
+    if result.verdict is not Verdict.UNSCHEDULABLE or not _analytic(result):
         return ""  # exploration carries its own counterexample trace
     if result.scenario is None:
         return "analytic unschedulable verdict carries no witness"
@@ -182,37 +184,20 @@ def classify(plain, layered) -> Tuple[AgreementStatus, List[str]]:
     return worst(statuses), details
 
 
-def _engine_stats(result) -> List[EngineStats]:
-    """The engine stats of every analysis inside ``result``: its modes,
-    islands or fallback run, else its own.  A per-mode compose run
-    keeps none."""
-    if isinstance(result, ModalAnalysisResult):
-        stats = [o.stats for o in result.per_mode.values()]
-    elif isinstance(result, CompositionResult) and result.monolithic:
-        return _engine_stats(result.monolithic)
-    elif isinstance(result, CompositionResult):
-        stats = [
-            o.stats and EngineStats.from_dict(o.stats)
-            for o in result.outcomes
-        ]
-    else:
-        stats = [result.exploration.stats]
-    return [s for s in stats if s is not None]
-
-
 def _counts(layered) -> Dict[str, int]:
     """The layers' own counters, summed over the analyses they ran."""
-    stats = _engine_stats(layered)
-    total = EngineStats.aggregate(stats).counters
+    total = layered.stats.counters
     analytic = [
-        s for s in stats
-        if any(name.startswith("portfolio.hits.") for name in s.counters)
+        part for part in _parts(layered).values() if _analytic(part)
     ]
     composed = isinstance(layered, CompositionResult)
     return {
-        "portfolio.analytic": len(analytic),
+        "portfolio.analytic": sum(
+            count for name, count in total.items()
+            if name.startswith("portfolio.hits.")
+        ),
         # Must stay 0: an analytic verdict explores nothing.
-        "portfolio.analytic_states": sum(s.states for s in analytic),
+        "portfolio.analytic_states": sum(p.num_states for p in analytic),
         "portfolio.escalations": total.get("portfolio.escalations", 0),
         "compose.decomposed": int(composed and layered.compositional),
         "compose.fallback": int(composed and not layered.compositional),

@@ -3,14 +3,11 @@
 The original VERSA tool (Clarke, Lee & Xie 1995) performs state-space
 exploration and deadlock detection over the prioritized transition
 relation of an ACSR model; the paper (S5) reduces schedulability to
-exactly that question.  The exploration loop itself lives in
-:mod:`repro.engine` (pluggable search strategies, explicit transition
-cache, observer hooks); this subpackage is the analysis-facing surface
-over it:
+exactly that question.  The exploration loop itself is
+:func:`repro.engine.explore` (pluggable search strategies, explicit
+transition cache, observer hooks); this subpackage is the
+analysis-facing surface over it:
 
-* :class:`~repro.versa.explorer.Explorer` -- compatibility facade over
-  :func:`repro.engine.explore` (BFS by default: state interning, budget
-  limits and early deadlock exit);
 * :class:`~repro.versa.traces.Trace` -- counterexample traces (the
   "failing scenarios" of the paper);
 * :mod:`~repro.versa.queries` -- deadlock-freedom, reachability and
@@ -23,7 +20,6 @@ over it:
   random-walk strategy wearing its trace-producing API).
 """
 
-from repro.versa.explorer import Explorer, ExplorationResult
 from repro.versa.traces import Step, Trace
 from repro.versa.lts import LTS
 from repro.versa.queries import (
@@ -43,8 +39,6 @@ from repro.versa.walk import (
 )
 
 __all__ = [
-    "Explorer",
-    "ExplorationResult",
     "LTS",
     "Step",
     "Trace",

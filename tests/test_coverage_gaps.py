@@ -5,7 +5,8 @@ import pytest
 from repro.aadl.gallery import cruise_control, two_periodic_threads
 from repro.analysis import Verdict, analyze_model, raise_trace
 from repro.translate import translate
-from repro.versa import Explorer, random_walk
+from repro.engine import Budget, explore
+from repro.versa import random_walk
 
 
 class TestNonDeadlockedScenarios:
@@ -25,7 +26,7 @@ class TestNonDeadlockedScenarios:
         """Every state touched by a walk appears in the exhaustive
         exploration (the walk is one path of the same relation)."""
         translation = translate(two_periodic_threads(schedulable=True))
-        exploration = Explorer(translation.system).run()
+        exploration = explore(translation.system)
         known = set(exploration.states())
         trace = random_walk(translation.system, max_steps=25, seed=9)
         for step in trace:
@@ -35,11 +36,10 @@ class TestNonDeadlockedScenarios:
 class TestExplorerBudgets:
     def test_time_budget_truncates(self):
         translation = translate(cruise_control())
-        result = Explorer(
+        result = explore(
             translation.system,
-            max_seconds=0.0,
-            on_limit="truncate",
-        ).run()
+            budget=Budget(max_seconds=0.0, on_limit="truncate"),
+        )
         assert not result.completed
 
     def test_time_budget_raises(self):
@@ -47,7 +47,7 @@ class TestExplorerBudgets:
 
         translation = translate(cruise_control())
         with pytest.raises(ExplorationLimitError):
-            Explorer(translation.system, max_seconds=0.0).run()
+            explore(translation.system, budget=Budget(max_seconds=0.0))
 
 
 class TestAnalysisResultSurface:

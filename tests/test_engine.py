@@ -448,6 +448,7 @@ class TestEngineStats:
     def test_stats_snapshot(self, counter_system):
         result = explore(counter_system)
         stats = result.stats
+        assert stats.strategy == "bfs"
         assert stats.states == 5
         assert stats.transitions == 4
         assert stats.expanded == 5
@@ -458,10 +459,3 @@ class TestEngineStats:
         as_dict = stats.as_dict()
         assert as_dict["states"] == 5
         assert "states/s" in stats.format() or "states" in stats.format()
-
-    def test_explorer_shim_attaches_stats(self, counter_system):
-        from repro.versa import Explorer
-
-        result = Explorer(counter_system).run()
-        assert result.stats is not None
-        assert result.stats.strategy == "bfs"

@@ -15,7 +15,7 @@ from repro.aadl.gallery import (
 )
 from repro.analysis import Verdict, analyze_model
 from repro.translate import TranslationOptions, translate
-from repro.versa import Explorer
+from repro.engine import Budget, explore
 
 
 class TestFig1Pins:
@@ -41,9 +41,11 @@ class TestFig1Pins:
 class TestAblationPins:
     def test_unprioritized_cruise_control(self):
         translation = translate(cruise_control())
-        result = Explorer(
-            translation.system, prioritized=False, max_states=100_000
-        ).run()
+        result = explore(
+            translation.system,
+            prioritized=False,
+            budget=Budget(max_states=100_000),
+        )
         assert result.num_states == 17_175
         assert result.num_transitions == 44_404
 

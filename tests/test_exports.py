@@ -7,7 +7,8 @@ import pytest
 from repro.aadl import parse_model, instantiate
 from repro.aadl.gallery import two_periodic_threads
 from repro.analysis import analyze_model
-from repro.versa import LTS, Explorer
+from repro.engine import explore
+from repro.versa import LTS
 
 
 class TestScenarioJson:
@@ -28,9 +29,7 @@ class TestLtsDot:
 
         env = ProcessEnv()
         env.define("P", (), action({"cpu": 1}) >> nil())
-        result = Explorer(
-            env.close(proc("P")), store_transitions=True
-        ).run()
+        result = explore(env.close(proc("P")), store_transitions=True)
         dot = LTS.from_exploration(result).to_dot()
         assert dot.startswith("digraph lts {")
         assert "doublecircle" in dot          # initial state

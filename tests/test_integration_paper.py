@@ -12,7 +12,7 @@ from repro.aadl.properties import SchedulingProtocol, ms
 from repro.analysis import Verdict, analyze_model
 from repro.sched import extract_task_set, rta_schedulable, edf_schedulable
 from repro.translate import translate
-from repro.versa import Explorer
+from repro.engine import Budget, explore
 from repro.workloads import task_set_to_system
 from repro.sched.taskmodel import PeriodicTask, TaskSet
 
@@ -37,7 +37,10 @@ class TestSection41CruiseControl:
 
     def test_exploration_is_exhaustive(self):
         result = translate(cruise_control())
-        exploration = Explorer(result.system, max_states=1_000_000).run()
+        exploration = explore(
+            result.system,
+            budget=Budget(max_states=1_000_000),
+        )
         assert exploration.completed
         assert exploration.deadlock_free
 
@@ -51,9 +54,11 @@ class TestSection42BusRefinement:
 
     def test_only_two_threads_touch_the_bus(self):
         result = translate(cruise_control())
-        exploration = Explorer(
-            result.system, max_states=1_000_000, store_transitions=True
-        ).run()
+        exploration = explore(
+            result.system,
+            budget=Budget(max_states=1_000_000),
+            store_transitions=True,
+        )
         from repro.acsr.resources import Action
 
         bus_resource = next(iter(result.names.names_of_kind("bus")))

@@ -129,7 +129,7 @@ class TestTranslationInvariants:
         """Every reachable path either continues (time can always
         progress in a schedulable model) or ends in a deadlock; the
         explorer terminates because parameters are bounded."""
-        from repro.versa import Explorer
+        from repro.engine import Budget, explore
 
         b = SystemBuilder("P")
         cpu = b.processor("cpu")
@@ -143,5 +143,5 @@ class TestTranslationInvariants:
                 processor=cpu,
             )
         result = translate(b.instantiate())
-        exploration = Explorer(result.system, max_states=200_000).run()
+        exploration = explore(result.system, budget=Budget(max_states=200_000))
         assert exploration.completed

@@ -75,6 +75,23 @@ class TestCampaign:
         assert "disagreed: 0" in text
         assert "reduce.por_pruned:" in text
 
+    def test_modal_family_counts_its_compose_runs(self):
+        """A per-mode compose run keeps its engine stats, so the modal
+        family's compose draws count their portfolio and reduction
+        work."""
+        seeds = [
+            seed for seed in range(60)
+            if plan(seed)[0] == "modal" and plan(seed)[1]["decomposition"]
+        ]
+        assert len(seeds) == 8
+        counts = [evaluate(seed).counts for seed in seeds]
+        assert sum(
+            count
+            for seen in counts
+            for name, count in seen.items()
+            if name.startswith(("portfolio.", "reduce."))
+        ) > 0
+
 
 def _result(verdict, decided_by=None, misses=None):
     scenario = None if misses is None else SimpleNamespace(misses=misses)

@@ -31,6 +31,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.aadl import format_model
+from repro.analysis.request import DEFAULT_TIERS, AnalysisRequest, analyze
 from repro.cli import main
 from repro.engine.stats import EngineStats
 from repro.workloads import replicated_system
@@ -111,16 +112,77 @@ class TestGolden:
         assert (code, out) == (golden["exit"], golden["out"])
 
     def test_cold_and_warm_stats_agree(self, tmp_path):
-        """A verdict-cache hit must render the same tier order as the
-        run that filled the cache."""
+        """A verdict-cache hit counts as a hit and adds none of the work
+        stored with it, and each mode's stored stats list the portfolio
+        tiers in the same order as the run that filled the cache."""
         argv = [
             "analyze", "fault_recovery.aadl", "--all-modes", "--portfolio",
             "--stats", "--cache-dir", "{cache}",
         ]
-        _, cold = run_case(argv, tmp_path)
+        run_case(argv, tmp_path)
         _, warm = run_case(argv, tmp_path)
         assert "[cached]" in warm
-        assert _stats_block(cold) == _stats_block(warm)
+        block = _stats_block(warm)
+        assert "states: 0  transitions: 0" in block
+        assert "verdict cache: 3 hits / 0 misses" in block
+        assert "portfolio tiers:" not in block
+        request = AnalysisRequest(
+            source=(EXAMPLES / "fault_recovery.aadl").read_text(),
+            modes="all",
+            tiers=DEFAULT_TIERS,
+        )
+        cache = str(tmp_path / "modes")
+        cold, warm = (analyze(request, cache=cache) for _ in range(2))
+        assert all(o.cached for o in warm.per_mode.values())
+        assert [o.stats.format() for o in cold.per_mode.values()] == [
+            o.stats.format() for o in warm.per_mode.values()
+        ]
+        assert "portfolio tiers:" in cold.per_mode["nominal"].stats.format()
+
+
+class TestOneStatsRule:
+    """Every composite verdict folds its children's stats the way the
+    batch pool does: a child that ran adds its stats, a cached child
+    adds one verdict-cache hit and nothing else."""
+
+    def test_compose_under_all_modes_keeps_its_stats(self, tmp_path):
+        _, out = run_case(
+            ["analyze", "fault_recovery.aadl", "--all-modes", "--compose",
+             "--stats"],
+            tmp_path,
+        )
+        assert "    states: 94  transitions: 111" in _stats_block(out)
+
+    def test_job_result_of_a_composition_stores_stats(self):
+        from repro.batch.jobs import AnalysisJob, _job_result
+
+        request = AnalysisRequest(
+            source=(EXAMPLES / "dual_island.aadl").read_text(),
+            decomposition="compose",
+        )
+        result = analyze(request)
+        stored = _job_result(AnalysisJob.from_request(request), result)
+        assert stored.stats is not None
+        assert stored.stats["states"] == result.num_states == 30
+
+    @pytest.mark.parametrize(
+        "argv, hits",
+        [
+            (["analyze", "dual_island.aadl", "--compose"], 2),
+            (["analyze", "fault_recovery.aadl", "--modal", "--protocol",
+              "asynchronous"], 3),
+        ],
+        ids=["compose", "modal-async"],
+    )
+    def test_warm_run_counts_cached_children_as_hits(
+        self, argv, hits, tmp_path
+    ):
+        argv = argv + ["--stats", "--cache-dir", "{cache}"]
+        _, cold = run_case(argv, tmp_path)
+        _, warm = run_case(argv, tmp_path)
+        assert "states: 0  transitions: 0" not in cold
+        assert "states: 0  transitions: 0  expanded: 0" in warm
+        assert f"verdict cache: {hits} hits / 0 misses" in warm
 
 
 def _stats(counters, **core):

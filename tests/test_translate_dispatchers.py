@@ -21,7 +21,8 @@ from repro.aadl.properties import DispatchProtocol
 from repro.translate.dispatchers import build_dispatcher
 from repro.translate.names import NameTable
 from repro.translate.quantum import QuantizedTiming
-from repro.versa import Explorer, find_deadlock
+from repro.engine import Budget, explore
+from repro.versa import find_deadlock
 
 
 def thread_stub(env, compute_quanta):
@@ -84,14 +85,14 @@ class TestPeriodic:
     def test_meets_deadline_is_deadlock_free(self):
         env, name = self.build(period=4, deadline=4, compute=2)
         system = close_system(env, name)
-        result = Explorer(system).run()
+        result = explore(system)
         assert result.deadlock_free
 
     def test_period_respected(self):
         """Dispatch happens exactly every P quanta."""
         env, name = self.build(period=3, deadline=3, compute=1)
         system = close_system(env, name)
-        result = Explorer(system, store_transitions=True).run()
+        result = explore(system, store_transitions=True)
         dispatch_times = set()
         for state in result.states():
             for label, _ in result.transitions_of(state):
@@ -115,7 +116,7 @@ class TestPeriodic:
         """D == P and execution takes the full period: legal, tight."""
         env, name = self.build(period=2, deadline=2, compute=2)
         system = close_system(env, name)
-        assert Explorer(system).run().deadlock_free
+        assert explore(system).deadlock_free
 
     def test_missing_period_rejected(self):
         env = ProcessEnv()
@@ -169,7 +170,7 @@ class TestAperiodic:
             ),
         )
         system = close_system(env, name, extra=[proc("Src"), proc("Q", 0)])
-        result = Explorer(system, store_transitions=True).run()
+        result = explore(system, store_transitions=True)
         assert result.deadlock_free
         vias = {
             label.via
@@ -238,9 +239,11 @@ class TestSporadic:
             ),
         )
         system = close_system(env, name, extra=[proc("Src"), proc("Q", 0)])
-        result = Explorer(
-            system, store_transitions=True, max_states=100_000
-        ).run()
+        result = explore(
+            system,
+            budget=Budget(max_states=100_000),
+            store_transitions=True,
+        )
         assert result.deadlock_free
         # Collect dispatch times along every edge: since state includes
         # the separation counter, two dispatches < P apart would deadlock

@@ -15,7 +15,7 @@ from repro.analysis import Verdict, analyze_model
 from repro.sched import extract_task_set, rta_schedulable, simulate
 from repro.translate import translate
 from repro.translate.quantum import TimingQuantizer
-from repro.versa import Explorer
+from repro.engine import explore
 
 
 def two_tight_threads(offset: int):
@@ -81,9 +81,7 @@ class TestOffsetMechanics:
         translation = translate(two_tight_threads(3))
         from repro.acsr.events import EventLabel
 
-        exploration = Explorer(
-            translation.system, store_transitions=True
-        ).run()
+        exploration = explore(translation.system, store_transitions=True)
         dispatch_b = "dispatch$Off_b"
         times = set()
         for state in exploration.states():

@@ -17,7 +17,7 @@ from repro.acsr.events import EventLabel
 from repro.aadl.properties import OverflowHandlingProtocol
 from repro.translate.names import NameTable
 from repro.translate.queues import build_queue
-from repro.versa import Explorer, find_deadlock, find_reachable
+from repro.versa import find_deadlock, find_reachable
 from repro.versa.queries import contains_proc
 
 

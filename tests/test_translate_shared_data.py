@@ -108,12 +108,14 @@ class TestQuantumSerialization:
 
     def test_sharers_never_compute_simultaneously(self):
         from repro.acsr.resources import Action
-        from repro.versa import Explorer
+        from repro.engine import Budget, explore
 
         result = translate(self.build_pair(same_classifier=True))
-        exploration = Explorer(
-            result.system, store_transitions=True, max_states=100_000
-        ).run()
+        exploration = explore(
+            result.system,
+            budget=Budget(max_states=100_000),
+            store_transitions=True,
+        )
         assert exploration.completed
         for state in exploration.states():
             for label, _ in exploration.transitions_of(state):
@@ -126,12 +128,14 @@ class TestQuantumSerialization:
 
     def test_independent_threads_do_compute_simultaneously(self):
         from repro.acsr.resources import Action
-        from repro.versa import Explorer
+        from repro.engine import Budget, explore
 
         result = translate(self.build_pair(same_classifier=False))
-        exploration = Explorer(
-            result.system, store_transitions=True, max_states=100_000
-        ).run()
+        exploration = explore(
+            result.system,
+            budget=Budget(max_states=100_000),
+            store_transitions=True,
+        )
         parallel_steps = [
             label
             for state in exploration.states()
@@ -202,13 +206,11 @@ class TestPriorityInversion:
         yet, so the high-priority sharer runs first even with the ceiling
         option on."""
         from repro.acsr.resources import Action
-        from repro.versa import Explorer
 
         result = translate(
             priority_inversion_trio(),
             TranslationOptions(use_priority_ceiling=True),
         )
-        exploration = Explorer(result.system, max_states=1).run  # noqa: unused
         system = result.system
         state = system.root
         # Drain the initial dispatch handshakes.

@@ -9,7 +9,8 @@ from repro.translate.names import NameTable
 from repro.translate.priorities import StaticPriority
 from repro.translate.quantum import QuantizedTiming
 from repro.translate.skeleton import build_skeleton
-from repro.versa import Explorer, find_deadlock
+from repro.engine import explore
+from repro.versa import find_deadlock
 
 
 def make_skeleton(timing, **kwargs):
@@ -61,7 +62,7 @@ class TestLifecycle:
             parallel(proc(ad), proc("Drv")), ["dispatch$sys_t", "done$sys_t"]
         )
         system = env.close(root)
-        result = Explorer(system, store_transitions=True).run()
+        result = explore(system, store_transitions=True)
         assert result.deadlock_free
         # Completion (tau@done) must be reachable both after 2 and 3 quanta.
         done_durations = set()
@@ -79,7 +80,7 @@ class TestLifecycle:
         root = restrict(
             parallel(proc(ad), proc("Drv")), ["dispatch$sys_t", "done$sys_t"]
         )
-        result = Explorer(env.close(root), store_transitions=True).run()
+        result = explore(env.close(root), store_transitions=True)
         done_durations = {
             result.trace_to(state).duration
             for state in result.states()
@@ -117,7 +118,7 @@ class TestBusRefinement:
         root = restrict(
             parallel(proc(ad), proc("Drv")), ["dispatch$sys_t", "done$sys_t"]
         )
-        result = Explorer(env.close(root), store_transitions=True).run()
+        result = explore(env.close(root), store_transitions=True)
         timed = [
             label
             for state in result.states()
@@ -137,7 +138,7 @@ class TestBusRefinement:
         root = restrict(
             parallel(proc(ad), proc("Drv")), ["dispatch$sys_t", "done$sys_t"]
         )
-        result = Explorer(env.close(root), store_transitions=True).run()
+        result = explore(env.close(root), store_transitions=True)
         cpu_steps = [
             label
             for state in result.states()
@@ -212,7 +213,7 @@ class TestHeldResources:
         """Per-quantum mutual exclusion: concurrent dispatches of two
         sharers must not deadlock -- only serialize."""
         from repro.acsr import parallel, restrict
-        from repro.versa import Explorer
+        from repro.engine import explore
 
         env = ProcessEnv()
         table = NameTable()
@@ -246,7 +247,7 @@ class TestHeldResources:
             ),
             ["dispatch$sys_a", "done$sys_a", "dispatch$sys_b", "done$sys_b"],
         )
-        result = Explorer(env.close(root)).run()
+        result = explore(env.close(root))
         assert result.deadlock_free
 
 

@@ -23,7 +23,8 @@ from repro.translate import (
     translate,
 )
 from repro.translate.translator import LatencyFlow
-from repro.versa import Explorer, find_deadlock
+from repro.engine import Budget, explore
+from repro.versa import find_deadlock
 
 
 class TestAlgorithm1Counts:
@@ -80,7 +81,7 @@ class TestBusRefinement:
 
     def test_cross_processor_bus_contention_analyzable(self):
         result = translate(shared_bus_pair())
-        exploration = Explorer(result.system, max_states=500_000).run()
+        exploration = explore(result.system, budget=Budget(max_states=500_000))
         assert exploration.completed
         # Both senders' final steps use the shared bus; the model must
         # still be schedulable (bus arbitration serializes them).
@@ -100,7 +101,7 @@ class TestSchedulingPolicies:
     def test_all_policies_translate_and_explore(self, protocol):
         inst = two_periodic_threads(scheduling=protocol)
         result = translate(inst)
-        assert Explorer(result.system).run().deadlock_free
+        assert explore(result.system).deadlock_free
 
     def test_hpf_uses_explicit_priorities(self):
         inst = two_periodic_threads(
@@ -163,22 +164,25 @@ class TestEventPatterns:
                 pattern_overrides={conn_qual: EventSendPattern.ANYTIME}
             ),
         )
-        exploration = Explorer(result.system, max_states=200_000).run()
+        exploration = explore(result.system, budget=Budget(max_states=200_000))
         assert exploration.completed
 
     def test_anytime_enlarges_state_space(self):
         inst = sporadic_consumer()
         conn_qual = inst.connections[0].qualified_name
-        base = Explorer(translate(inst).system, max_states=200_000).run()
-        anytime = Explorer(
+        base = explore(
+            translate(inst).system,
+            budget=Budget(max_states=200_000),
+        )
+        anytime = explore(
             translate(
                 inst,
                 TranslationOptions(
                     pattern_overrides={conn_qual: EventSendPattern.ANYTIME}
                 ),
             ).system,
-            max_states=200_000,
-        ).run()
+            budget=Budget(max_states=200_000),
+        )
         assert anytime.num_states > base.num_states
 
 
@@ -223,7 +227,7 @@ class TestDeviceSources:
         assert len(device_names) == 1
         # Environment-driven arrivals at min separation 4 with C=1, D=4:
         # always schedulable.
-        exploration = Explorer(result.system, max_states=200_000).run()
+        exploration = explore(result.system, budget=Budget(max_states=200_000))
         assert exploration.completed and exploration.deadlock_free
 
 

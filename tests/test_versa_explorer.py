@@ -1,4 +1,4 @@
-"""Tests of the state-space explorer."""
+"""Tests of the state-space explorer, :func:`repro.engine.explore`."""
 
 import pytest
 
@@ -17,7 +17,7 @@ from repro.acsr import (
     send,
 )
 from repro.acsr.expressions import var
-from repro.versa import Explorer
+from repro.engine import Budget, explore
 
 
 @pytest.fixture
@@ -36,27 +36,27 @@ def counter_env():
 class TestBasicExploration:
     def test_counts_states(self, counter_env):
         system = counter_env.close(proc("Count", 0))
-        result = Explorer(system).run()
+        result = explore(system)
         assert result.num_states == 5
         assert result.num_transitions == 4
         assert result.completed
 
     def test_detects_deadlock(self, counter_env):
         system = counter_env.close(proc("Count", 0))
-        result = Explorer(system).run()
+        result = explore(system)
         assert result.deadlock_states == [proc("Count", 4)]
         assert not result.deadlock_free
 
     def test_cycle_is_deadlock_free(self):
         env = ProcessEnv()
         env.define("Loop", (), idle() >> proc("Loop"))
-        result = Explorer(env.close(proc("Loop"))).run()
+        result = explore(env.close(proc("Loop")))
         assert result.num_states == 1
         assert result.deadlock_free
 
     def test_trace_to_deadlock(self, counter_env):
         system = counter_env.close(proc("Count", 0))
-        result = Explorer(system).run()
+        result = explore(system)
         trace = result.first_deadlock_trace()
         assert trace is not None
         assert len(trace) == 4
@@ -65,13 +65,13 @@ class TestBasicExploration:
 
     def test_trace_to_unknown_state_raises(self, counter_env):
         system = counter_env.close(proc("Count", 0))
-        result = Explorer(system).run()
+        result = explore(system)
         with pytest.raises(KeyError):
             result.trace_to(proc("Count", 99))
 
     def test_stop_at_first_deadlock(self, counter_env):
         system = counter_env.close(proc("Count", 0))
-        result = Explorer(system).run(stop_at_first_deadlock=True)
+        result = explore(system, stop_at_first_deadlock=True)
         assert result.deadlock_states
         assert not result.completed
 
@@ -80,33 +80,35 @@ class TestBudgets:
     def test_state_budget_raises(self, counter_env):
         system = counter_env.close(proc("Count", 0))
         with pytest.raises(ExplorationLimitError) as excinfo:
-            Explorer(system, max_states=2).run()
+            explore(system, budget=Budget(max_states=2))
         assert excinfo.value.states_explored == 2
 
     def test_state_budget_truncates(self, counter_env):
         system = counter_env.close(proc("Count", 0))
-        result = Explorer(system, max_states=2, on_limit="truncate").run()
+        result = explore(
+            system,
+            budget=Budget(max_states=2, on_limit="truncate"),
+        )
         assert result.num_states == 2
         assert not result.completed
 
-    def test_invalid_on_limit(self, counter_env):
-        system = counter_env.close(proc("Count", 0))
+    def test_invalid_on_limit(self):
         with pytest.raises(ValueError):
-            Explorer(system, on_limit="ignore")
+            Budget(on_limit="ignore")
 
 
 class TestTargets:
     def test_target_collection(self, counter_env):
         system = counter_env.close(proc("Count", 0))
-        result = Explorer(system).run(
-            target=lambda t: t is proc("Count", 2)
-        )
+        result = explore(system, target=lambda t: t is proc("Count", 2))
         assert result.target_states == [proc("Count", 2)]
 
     def test_stop_at_target(self, counter_env):
         system = counter_env.close(proc("Count", 0))
-        result = Explorer(system).run(
-            target=lambda t: t is proc("Count", 2), stop_at_target=True
+        result = explore(
+            system,
+            target=lambda t: t is proc("Count", 2),
+            stop_at_target=True,
         )
         assert result.target_states == [proc("Count", 2)]
         trace = result.trace_to(proc("Count", 2))
@@ -114,8 +116,10 @@ class TestTargets:
 
     def test_initial_state_can_match(self, counter_env):
         system = counter_env.close(proc("Count", 0))
-        result = Explorer(system).run(
-            target=lambda t: t is proc("Count", 0), stop_at_target=True
+        result = explore(
+            system,
+            target=lambda t: t is proc("Count", 0),
+            stop_at_target=True,
         )
         assert result.target_states == [proc("Count", 0)]
 
@@ -135,7 +139,7 @@ class TestBfsShortestCounterexample:
             ),
         )
         system = env.close(proc("Start"))
-        result = Explorer(system).run(stop_at_first_deadlock=True)
+        result = explore(system, stop_at_first_deadlock=True)
         trace = result.first_deadlock_trace()
         assert len(trace) == 1
 
@@ -156,8 +160,8 @@ class TestPrioritizedVsUnprioritized:
             choice(action({"cpu": 1}) >> proc("Lo"), idle() >> proc("Lo")),
         )
         system = env.close(parallel(proc("Hi"), proc("Lo")))
-        pri = Explorer(system, prioritized=True).run()
-        unpri = Explorer(system, prioritized=False).run()
+        pri = explore(system, prioritized=True)
+        unpri = explore(system, prioritized=False)
         assert pri.num_transitions < unpri.num_transitions
         assert pri.num_states <= unpri.num_states
 
@@ -165,12 +169,12 @@ class TestPrioritizedVsUnprioritized:
 class TestTransitionStorage:
     def test_stored_transitions(self, counter_env):
         system = counter_env.close(proc("Count", 0))
-        result = Explorer(system, store_transitions=True).run()
+        result = explore(system, store_transitions=True)
         steps = result.transitions_of(proc("Count", 0))
         assert len(steps) == 1
 
     def test_unavailable_without_flag(self, counter_env):
         system = counter_env.close(proc("Count", 0))
-        result = Explorer(system).run()
+        result = explore(system)
         with pytest.raises(ValueError):
             result.transitions_of(proc("Count", 0))

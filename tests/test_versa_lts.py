@@ -18,9 +18,9 @@ from repro.acsr import (
 from repro.acsr.events import event_label, OUT
 from repro.acsr.expressions import var
 from repro.acsr.resources import Action
+from repro.engine import explore
 from repro.versa import (
     LTS,
-    Explorer,
     Step,
     Trace,
     bisimulation_quotient,
@@ -42,7 +42,7 @@ def explored():
         guard(n < 3, action({"cpu": 1}) >> proc("Count", n + 1)),
     )
     system = env.close(proc("Count", 0))
-    return Explorer(system, store_transitions=True).run()
+    return explore(system, store_transitions=True)
 
 
 class TestLts:
@@ -55,7 +55,7 @@ class TestLts:
     def test_requires_stored_transitions(self):
         env = ProcessEnv()
         env.define("L", (), idle() >> proc("L"))
-        result = Explorer(env.close(proc("L"))).run()
+        result = explore(env.close(proc("L")))
         with pytest.raises(ValueError):
             LTS.from_exploration(result)
 
@@ -80,9 +80,7 @@ class TestMinimization:
         env = ProcessEnv()
         env.define("A", (), idle() >> proc("B"))
         env.define("B", (), idle() >> proc("A"))
-        result = Explorer(
-            env.close(proc("A")), store_transitions=True
-        ).run()
+        result = explore(env.close(proc("A")), store_transitions=True)
         lts = LTS.from_exploration(result)
         quotient, block_of = bisimulation_quotient(lts)
         assert quotient.num_states == 1
@@ -105,9 +103,7 @@ class TestMinimization:
             ),
         )
         env.define("Q", (), action({"cpu": 1}) >> proc("P"))
-        result = Explorer(
-            env.close(proc("P")), store_transitions=True
-        ).run()
+        result = explore(env.close(proc("P")), store_transitions=True)
         lts = LTS.from_exploration(result)
         quotient, _ = bisimulation_quotient(lts)
         assert bool(lts.deadlock_states()) == bool(quotient.deadlock_states())

@@ -19,9 +19,9 @@ from repro.acsr import (
 from repro.acsr.events import event_label, tau_label, OUT
 from repro.acsr.expressions import var
 from repro.acsr.resources import Action
+from repro.engine import explore
 from repro.versa import (
     LTS,
-    Explorer,
     bisimulation_quotient,
     event_first_policy,
     random_walk,
@@ -160,7 +160,7 @@ class TestRandomWalk:
 
 class TestWeakBisimulation:
     def explored_lts(self, system):
-        result = Explorer(system, store_transitions=True).run()
+        result = explore(system, store_transitions=True)
         return LTS.from_exploration(result)
 
     def test_tau_chain_collapses(self, looping_system):
