@@ -8,6 +8,9 @@ measures the explored state count both ways:
 * compositional -- one exploration per island; the total is the *sum*
   of island state spaces, so it grows linearly.
 
+Both sides explore unreduced (``reduction="none"``): the claim is about
+the plain product space, which partial-order reduction also shrinks.
+
 The acceptance claim of the compose subsystem is pinned here: on a
 decomposable model the verdicts agree and the compositional total is
 strictly below the monolithic count.  The gallery's 2-processor
@@ -45,11 +48,13 @@ def _system(n_islands: int):
 def test_gallery_dual_island_sum_beats_product(benchmark):
     """The ISSUE acceptance criterion on the 2-processor gallery model:
     same verdict, strictly fewer total states."""
-    monolithic = analyze_model(dual_island(), max_states=MAX_STATES)
+    monolithic = analyze_model(
+        dual_island(), max_states=MAX_STATES, reduction="none"
+    )
 
     def composed_run():
         return analyze_compositionally(
-            dual_island(), workers=1, max_states=MAX_STATES
+            dual_island(), workers=1, max_states=MAX_STATES, reduction="none"
         )
 
     composed = benchmark.pedantic(composed_run, rounds=1, iterations=1)
@@ -80,9 +85,14 @@ def test_island_count_sweep():
     rows = []
     gaps = []
     for n_islands in ISLAND_COUNTS:
-        monolithic = analyze_model(_system(n_islands), max_states=MAX_STATES)
+        monolithic = analyze_model(
+            _system(n_islands), max_states=MAX_STATES, reduction="none"
+        )
         composed = analyze_compositionally(
-            _system(n_islands), workers=1, max_states=MAX_STATES
+            _system(n_islands),
+            workers=1,
+            max_states=MAX_STATES,
+            reduction="none",
         )
         assert composed.compositional
         assert composed.verdict is monolithic.verdict

@@ -37,7 +37,9 @@ def test_nominal_analysis(benchmark):
     instance = cruise_control()
 
     def run():
-        return analyze_model(instance, stop_at_first_deadlock=False)
+        return analyze_model(
+            instance, stop_at_first_deadlock=False, reduction="none"
+        )
 
     result = benchmark(run)
     assert result.verdict is Verdict.SCHEDULABLE

@@ -61,7 +61,9 @@ def test_skeleton_per_protocol(benchmark, protocol):
     instance = single_thread(protocol)
 
     def run():
-        return analyze_model(instance, stop_at_first_deadlock=False)
+        return analyze_model(
+            instance, stop_at_first_deadlock=False, reduction="none"
+        )
 
     result = benchmark(run)
     assert result.verdict is Verdict.SCHEDULABLE

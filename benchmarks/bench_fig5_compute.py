@@ -35,7 +35,8 @@ def states_of(instance):
     # Pin the quantum: the default GCD quantum would rescale the sweep
     # parameters and hide the growth being measured.
     result = analyze_model(
-        instance, quantum=ms(1), stop_at_first_deadlock=False
+        instance, quantum=ms(1), stop_at_first_deadlock=False,
+        reduction="none",
     )
     assert result.verdict is Verdict.SCHEDULABLE
     return result.num_states
@@ -127,7 +128,9 @@ def test_preemption_branch_reachable(benchmark):
     instance = b.instantiate()
 
     def run():
-        return analyze_model(instance, stop_at_first_deadlock=False)
+        return analyze_model(
+            instance, stop_at_first_deadlock=False, reduction="none"
+        )
 
     result = benchmark(run)
     assert result.verdict is Verdict.SCHEDULABLE

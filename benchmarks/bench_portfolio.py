@@ -8,8 +8,9 @@ the majority of cases.  Two measurements pin it:
 * per-model -- ``analyze_portfolio`` vs ``analyze_model`` on the
   gallery's two-thread model (both variants), asserting verdict
   equality, 0 analytic states, and a wall-clock win;
-* campaign -- a seeded sweep over the oracle's smoke envelope,
-  asserting the analytic share stays above one half (the ISSUE bar).
+* campaign -- a seeded ``request`` relation sweep, asserting the
+  analytic share of its tiered smoke-envelope draws stays above one
+  half.
 """
 
 import time
@@ -23,7 +24,7 @@ from repro.portfolio import analyze_portfolio
 from conftest import print_table
 
 MAX_STATES = 400_000
-CAMPAIGN_SEEDS = 40
+CAMPAIGN_SEEDS = 120
 
 
 @pytest.mark.parametrize("schedulable", [True, False])
@@ -62,15 +63,17 @@ def test_portfolio_skips_exploration(benchmark, schedulable):
 
 
 def test_campaign_analytic_share(benchmark):
-    """Over the oracle smoke envelope the analytic tiers must carry at
-    least half the verdicts (the ISSUE acceptance bar) -- in practice
-    the classical fragment is fully covered and the share is ~100%."""
+    """Over the request relation's tiered smoke-envelope draws the
+    analytic tiers must carry at least half the verdicts (the
+    portfolio's acceptance bar) -- in practice the classical fragment is fully covered and the
+    share is ~100%.  Two windows of 60 seeds hold 16 such draws."""
     from repro.oracle import run_relation
+    from repro.oracle.request import plan
 
     started = time.perf_counter()
     report = benchmark.pedantic(
         lambda: run_relation(
-            "portfolio",
+            "request",
             seeds=CAMPAIGN_SEEDS,
             base_seed=0,
             max_states=MAX_STATES,
@@ -81,21 +84,19 @@ def test_campaign_analytic_share(benchmark):
     elapsed = time.perf_counter() - started
 
     assert report.disagreements == []
-    counts = report.counts
-    assert counts["analytic"] * 2 >= len(report.outcomes)
-    assert counts["analytic_states"] == 0
+    assert report.counts["portfolio.analytic_states"] == 0
+    tiered = [
+        outcome
+        for outcome in report.outcomes
+        if plan(outcome.seed)[0] == "smoke" and plan(outcome.seed)[1]["tiers"]
+    ]
+    analytic = sum(o.counts["portfolio.analytic"] for o in tiered)
+    escalated = sum(o.counts["portfolio.escalations"] for o in tiered)
+    assert tiered and analytic * 2 >= len(tiered)
 
-    rows = sorted(
-        (
-            (name[len("decided_by."):], count)
-            for name, count in counts.items()
-            if name.startswith("decided_by.")
-        ),
-        key=lambda row: -row[1],
-    )
     print_table(
-        f"portfolio campaign ({CAMPAIGN_SEEDS} seeds, {elapsed:.1f}s): "
-        f"deciding tiers",
-        ["tier", "cases"],
-        rows,
+        f"request campaign ({CAMPAIGN_SEEDS} seeds, {elapsed:.1f}s): "
+        f"tiered smoke draws",
+        ["draws", "decided analytically", "escalated"],
+        [(len(tiered), analytic, escalated)],
     )

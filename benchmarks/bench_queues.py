@@ -25,7 +25,7 @@ def verdict_for(queue_size, overflow, producer_period=4, min_separation=6):
         producer_period=producer_period,
         min_separation=min_separation,
     )
-    return analyze_model(instance, max_states=500_000)
+    return analyze_model(instance, max_states=500_000, reduction="none")
 
 
 def test_queue_size_sweep_error_protocol(benchmark):

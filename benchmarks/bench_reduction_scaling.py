@@ -45,7 +45,9 @@ def test_replica_sweep_reduction_factor(benchmark):
     rows = []
     factors = []
     for n_replicas in REPLICA_COUNTS:
-        unreduced = analyze_model(_system(n_replicas), max_states=MAX_STATES)
+        unreduced = analyze_model(
+            _system(n_replicas), max_states=MAX_STATES, reduction="none"
+        )
         sym = analyze_model(
             _system(n_replicas), max_states=MAX_STATES, reduction="sym"
         )
@@ -96,7 +98,9 @@ def test_replica_sweep_reduction_factor(benchmark):
 def test_jittered_control_defeats_symmetry():
     """Offset jitter makes replicas distinguishable: symmetry must not
     fire, and the verdict must still match the unreduced run."""
-    unreduced = analyze_model(_system(3, jitter=True), max_states=MAX_STATES)
+    unreduced = analyze_model(
+        _system(3, jitter=True), max_states=MAX_STATES, reduction="none"
+    )
     reduced = analyze_model(
         _system(3, jitter=True), max_states=MAX_STATES, reduction="sym,por"
     )

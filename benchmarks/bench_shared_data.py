@@ -27,10 +27,11 @@ def test_inversion_vs_ceiling(benchmark):
     instance = priority_inversion_trio()
 
     def run():
-        plain = analyze_model(instance)
+        plain = analyze_model(instance, reduction="none")
         ceiling = analyze_model(
             instance,
             options=TranslationOptions(use_priority_ceiling=True),
+            reduction="none",
         )
         return plain, ceiling
 

@@ -36,6 +36,7 @@ from repro.errors import AnalysisError
 from repro.aadl.components import DeclarativeModel
 from repro.aadl.properties import TimeValue
 from repro.analysis.schedulability import Verdict
+from repro.engine.reduce import DEFAULT_REDUCTION
 from repro.engine.stats import EngineStats
 
 
@@ -82,6 +83,7 @@ class ModalAnalysisResult:
         self,
         per_mode: Dict[str, ModeOutcome],
         unreachable_modes: tuple = (),
+        cache_misses: Optional[int] = None,
     ) -> None:
         if not per_mode:
             raise AnalysisError("no modes analyzed")
@@ -89,6 +91,8 @@ class ModalAnalysisResult:
         #: declared modes skipped because no transition path reaches
         #: them from the initial mode
         self.unreachable_modes = tuple(unreachable_modes)
+        #: verdict-cache misses of the per-mode fan-out (None: no cache)
+        self.cache_misses = cache_misses
 
     @property
     def verdict(self) -> Verdict:
@@ -110,7 +114,7 @@ class ModalAnalysisResult:
         """The modes' stats, folded by :func:`repro.batch.pool.fold_stats`."""
         from repro.batch.pool import fold_stats
 
-        return fold_stats(self.per_mode.values())
+        return fold_stats(self.per_mode.values(), misses=self.cache_misses)
 
     @property
     def failing_modes(self) -> List[str]:
@@ -158,7 +162,7 @@ def analyze_all_modes(
     max_states: int = 1_000_000,
     portfolio: bool = False,
     tiers: Optional[str] = None,
-    reduction: Optional[str] = None,
+    reduction: Optional[str] = DEFAULT_REDUCTION,
     workers: Optional[int] = None,
     cache=None,
     progress=None,
@@ -224,4 +228,5 @@ def analyze_all_modes(
             for mode, result in zip(modes, report.results)
         },
         automaton.unreachable_modes(),
+        cache_misses=report.stats.counters.get("batch.verdict_cache_misses"),
     )

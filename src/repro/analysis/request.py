@@ -39,6 +39,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, NamedTuple, Optional, Tuple
 
+from repro.engine.reduce import (
+    DEFAULT_REDUCTION,
+    REDUCTION_FAULTS,
+    reduction_token,
+)
 from repro.errors import RequestError
 
 #: ``modes`` values: one configuration, every reachable steady mode, or
@@ -71,16 +76,17 @@ class AnalysisRequest:
     quantum in picoseconds (None: the natural GCD quantum) and
     ``max_states`` bounds exploration.  ``tiers`` turns the portfolio
     on with a chain token (:data:`DEFAULT_TIERS` or ``"+"``-joined tier
-    names); ``reduce`` is a reduction-pass spec.  ``max_window`` caps
-    the hier flattened or modal transient window, ``max_phasings`` the
-    modal switch phasings, and ``fault`` injects a hier or modal
-    self-test fault -- or, with ``reduce`` and no decomposition, a
-    registered reduction fault into every exploration the request
-    runs.  ``island`` restricts the analysis to one processor island.
+    names); ``reduce`` is a reduction-pass spec (``None`` or ``"none"``:
+    unreduced).  ``max_window`` caps the hier flattened or modal
+    transient window, ``max_phasings`` the modal switch phasings, and
+    ``fault`` injects a hier or modal self-test fault -- or, with
+    ``reduce`` and no decomposition, a registered reduction fault into
+    every exploration the request runs.  ``island`` restricts the
+    analysis to one processor island.
 
-    Construction canonicalizes ``reduce`` and ``island`` and raises
-    :class:`~repro.errors.RequestError` for a combination no layer
-    implements.
+    Construction canonicalizes ``reduce`` (unreduced as ``"none"``) and
+    ``island`` and raises :class:`~repro.errors.RequestError` for a
+    combination no layer implements.
     """
 
     source: str
@@ -92,23 +98,20 @@ class AnalysisRequest:
     max_states: int = 1_000_000
     decomposition: Optional[str] = None
     tiers: Optional[str] = None
-    reduce: Optional[str] = None
+    reduce: Optional[str] = DEFAULT_REDUCTION
     max_window: Optional[int] = None
     max_phasings: Optional[int] = None
     fault: Optional[str] = None
     island: Optional[IslandSpec] = None
 
     def __post_init__(self) -> None:
-        if self.reduce is not None:
-            from repro.engine.reduce import reduction_token
-
-            try:
-                token = reduction_token(self.reduce)
-            except TypeError:
-                raise RequestError(
-                    f"reduce must be a pass spec, got {self.reduce!r}"
-                ) from None
-            object.__setattr__(self, "reduce", token)
+        try:
+            token = reduction_token(self.reduce)
+        except TypeError:
+            raise RequestError(
+                f"reduce must be a pass spec, got {self.reduce!r}"
+            ) from None
+        object.__setattr__(self, "reduce", token or "none")
         if self.island is not None:
             island = self.island
             try:
@@ -170,7 +173,7 @@ class AnalysisRequest:
                 "an island is one steady slice of a compositional run; it "
                 "takes no modes, decomposition or tiers"
             )
-        if hier and (self.tiers or self.reduce):
+        if hier and (self.tiers or self.reduce != DEFAULT_REDUCTION):
             return (
                 "decomposition='hier' decides by supply interfaces and "
                 "flattened simulation; it takes no tiers or reduce"
@@ -196,13 +199,11 @@ class AnalysisRequest:
             )
         if self.fault is None:
             return None
-        if self.reduce is None or self.decomposition or self.island:
+        if self.reduce == "none" or self.decomposition or self.island:
             return (
                 "fault applies to modes='modal', decomposition='hier' or "
                 "reduce without decomposition or island only"
             )
-        from repro.engine.reduce import REDUCTION_FAULTS
-
         if self.fault not in REDUCTION_FAULTS:
             return (
                 f"unknown reduction fault {self.fault!r}; choose from "

@@ -22,6 +22,7 @@ from repro.errors import ExplorationLimitError
 from repro.engine.budget import Budget
 from repro.engine.core import explore
 from repro.engine.observers import Observer
+from repro.engine.reduce import DEFAULT_REDUCTION, build_reduction
 from repro.engine.result import ExplorationResult
 from repro.engine.stats import EngineStats
 from repro.engine.strategies import SearchStrategy
@@ -166,7 +167,7 @@ def analyze_model(
     strategy: Union[SearchStrategy, str, None] = None,
     observers: Union[Observer, Iterable[Observer], None] = None,
     portfolio: bool = False,
-    reduction: Union[str, Iterable[str], None] = None,
+    reduction: Union[str, Iterable[str], None] = DEFAULT_REDUCTION,
     reduction_fault: Optional[str] = None,
 ) -> AnalysisResult:
     """Analyze a bound AADL model for schedulability.
@@ -179,11 +180,18 @@ def analyze_model(
     instrumentation hooks to the run.  ``portfolio`` routes the model
     through the tiered analytic portfolio first, escalating to this
     exhaustive exploration only when no tier decides (see
-    :mod:`repro.portfolio`).  ``reduction`` enables state-space
-    reduction passes (``"sym,por"``-style spec; see
-    :mod:`repro.engine.reduce`) -- the verdict, including honest
+    :mod:`repro.portfolio`).  ``reduction`` names the state-space
+    reduction passes (``"sym,por"``-style spec, default
+    :data:`~repro.engine.reduce.DEFAULT_REDUCTION`; ``None`` or
+    ``"none"`` explores unreduced) -- the verdict, including honest
     UNKNOWN on truncation, is preserved; ``reduction_fault`` injects a
     registered reduction bug for oracle self-tests.
+
+    A deadlock found in a reduced space is raised from an unreduced
+    search: the same translation is explored once more without the
+    reduction, under the same budget, up to its first deadlock, and the
+    scenario comes from that search (see :func:`_unreduced_witness`).
+    The result's stats count both searches.
     """
     if portfolio:
         # Imported lazily: repro.portfolio imports this module.
@@ -223,25 +231,26 @@ def analyze_model(
             options.quantum = quantum
 
         translation = translate(instance, options)
-        reduction_obj = None
-        if reduction is not None or reduction_fault is not None:
-            from repro.engine.reduce import build_reduction
-
-            reduction_obj = build_reduction(
-                translation, reduction, fault=reduction_fault
-            )
+        reduction_obj = build_reduction(
+            translation, reduction, fault=reduction_fault
+        )
+        budget = Budget(
+            max_states=max_states,
+            max_seconds=max_seconds,
+            on_limit="truncate",
+        )
         exploration = explore(
             translation.system,
             strategy=strategy,
-            budget=Budget(
-                max_states=max_states,
-                max_seconds=max_seconds,
-                on_limit="truncate",
-            ),
+            budget=budget,
             stop_at_first_deadlock=stop_at_first_deadlock,
             observers=observers,
             reduction=reduction_obj,
         )
+        if reduction_obj is not None and exploration.deadlock_states:
+            exploration = _unreduced_witness(
+                translation, exploration, budget, strategy
+            )
 
         trace = exploration.first_deadlock_trace()
         if trace is not None:
@@ -266,3 +275,34 @@ def analyze_model(
         # schedulable.)
         analyze_span.set(verdict=Verdict.UNKNOWN.value)
         return AnalysisResult(Verdict.UNKNOWN, translation, exploration, None)
+
+
+def _unreduced_witness(
+    translation: TranslationResult,
+    reduced: ExplorationResult,
+    budget: Budget,
+    strategy: Union[SearchStrategy, str, None],
+) -> ExplorationResult:
+    """The exploration a reduced run's deadlock is raised from.
+
+    A reduction keeps a subset of the interleavings, so which deadlock
+    it reaches first -- and the scenario raised from it -- depends on
+    the reduction.  Exploring the translation again without it, up to
+    its first deadlock, gives the scenario an unreduced run reports.
+    When that search exhausts ``budget`` first, the reduced witness
+    stands: every reduced path is a real path of the system.  The
+    verdict is the reduced search's either way; the returned result's
+    stats and elapsed time count both searches.
+    """
+    plain = explore(
+        translation.system,
+        strategy=strategy,
+        budget=budget,
+        stop_at_first_deadlock=True,
+    )
+    witness = plain if plain.deadlock_states else reduced
+    witness.stats = EngineStats.aggregate(
+        (reduced.stats, plain.stats), strategy=plain.stats.strategy
+    )
+    witness.elapsed = reduced.elapsed + plain.elapsed
+    return witness

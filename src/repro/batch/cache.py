@@ -58,8 +58,10 @@ logger = logging.getLogger(__name__)
 #: and options (translation rules, ACSR semantics, verdict mapping...)
 #: or to the key layout itself (2: one ``analysis`` kind keyed by its
 #: request) or to the stored result layout (3: ``JobResult.stats`` keeps
-#: the feature counters in one namespaced ``counters`` map).
-CACHE_SCHEMA_VERSION = 3
+#: the feature counters in one namespaced ``counters`` map; 4: a reduced
+#: run raises its scenario from an unreduced search and counts both
+#: searches in its stats).
+CACHE_SCHEMA_VERSION = 4
 
 #: Default on-disk location for cached verdicts.
 DEFAULT_CACHE_DIR = os.path.join("artifacts", "cache")

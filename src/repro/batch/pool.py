@@ -172,13 +172,19 @@ def _run_pool(
 
 
 def fold_stats(
-    children, *, strategy: str = "aggregate", wall_elapsed=None
+    children,
+    *,
+    misses: Optional[int] = None,
+    strategy: str = "aggregate",
+    wall_elapsed=None,
 ) -> EngineStats:
     """The engine stats of a verdict made of child verdicts (a batch, a
     composition's islands, a model's modes): a child that ran adds its
     stats (an :class:`EngineStats` or its dict), a verdict-cache hit
     adds one ``batch.verdict_cache_hits`` and none of the work stored
-    with it, and an in-batch duplicate adds nothing."""
+    with it, and an in-batch duplicate adds nothing.  ``misses`` is the
+    verdict cache's miss count for the fan-out that ran the children
+    (None when it ran without a cache)."""
     children = [c for c in children if not getattr(c, "deduped", False)]
     ran = [c.stats for c in children if not c.cached]
     total = EngineStats.aggregate(
@@ -189,6 +195,8 @@ def fold_stats(
     hits = sum(c.cached for c in children)
     if hits:
         total.counters["batch.verdict_cache_hits"] = hits
+    if misses is not None:
+        total.counters["batch.verdict_cache_misses"] = misses
     return total
 
 
@@ -409,9 +417,11 @@ def run_batch(
     # (a CPU-time sum once jobs ran in parallel) but takes its
     # ``wall_elapsed`` -- the states/s denominator -- from the pool's
     # own wall clock, measured right here.
-    stats = fold_stats(final, wall_elapsed=wall)
-    if store is not None:
-        stats.counters["batch.verdict_cache_misses"] = store.misses - misses0
+    stats = fold_stats(
+        final,
+        misses=store.misses - misses0 if store is not None else None,
+        wall_elapsed=wall,
+    )
     report = BatchReport(
         results=final,
         workers=n_workers,

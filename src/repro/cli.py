@@ -18,7 +18,7 @@ scenario.  The CLI exposes each step plus the baselines::
     repro analyze model.aadl --compose              # island decomposition
     repro compose plan model.aadl                   # partition, no analysis
     repro oracle run --seeds 200 --profile smoke    # differential campaign
-    repro analyze model.aadl --reduce               # symmetry + POR reduction
+    repro analyze model.aadl --no-reduce            # unreduced exploration
     repro oracle request --seeds 60 --jobs 2        # layered =? plain, pooled
     repro oracle replay artifacts/oracle/x.json     # re-run a repro bundle
     repro analyze model.aadl --trace out.jsonl      # record a span trace
@@ -69,11 +69,12 @@ exit status:
   2  usage or model error
   3  verdict unknown (state budget exhausted before an answer)
 
-State-space reduction (--reduce) shrinks how many states exploration
+State-space reduction (partial-order by default, --reduce PASSES to
+choose, --no-reduce to turn it off) shrinks how many states exploration
 visits, never the exit contract: a reduced run that exhausts its budget
 still exits 3 (unknown) rather than reading the covered quotient space
-as proof, and a deadlock found in the reduced space maps to a real
-failing scenario (up to replica renaming under symmetry).
+as proof, and a deadlock found in the reduced space is raised from an
+unreduced search, so the failing scenario is the one --no-reduce prints.
 """
 
 
@@ -190,12 +191,15 @@ def _request_fields(args) -> dict:
 def _flags(args, count: int = len(ANALYSIS_FLAGS)) -> str:
     """The flags among the first ``count`` analysis flags that the
     command line sets away from their defaults."""
-    unset = (None, False, "synchronous")
-    return " ".join(
-        flag
-        for name, flag in ANALYSIS_FLAGS[:count]
-        if getattr(args, name, None) not in unset
-    )
+    from repro.engine.reduce import DEFAULT_REDUCTION
+
+    unset = (None, False, "synchronous", DEFAULT_REDUCTION)
+    flags = []
+    for name, flag in ANALYSIS_FLAGS[:count]:
+        value = getattr(args, name, None)
+        if value not in unset:
+            flags.append("--no-reduce" if value == "none" else flag)
+    return " ".join(flags)
 
 
 def _run_file_batch(args, paths: List[str]) -> int:
@@ -557,24 +561,29 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(portfolio=False)
 
     def reduce_options(p):
+        from repro.engine.reduce import DEFAULT_REDUCTION
+
         p.add_argument(
             "--reduce",
             dest="reduce",
             nargs="?",
             const="sym,por",
-            default=None,
+            default=DEFAULT_REDUCTION,
             metavar="PASSES",
-            help="canonicalize states under replica symmetry and prune "
-            "commuting interleavings (comma list of passes: sym, por; "
-            "bare --reduce enables both).  Verdict-preserving: same "
-            "exit status as the unreduced run (see docs/reduction.md)",
+            help="state-space reduction passes: prune commuting "
+            "interleavings (por) and canonicalize states under replica "
+            "symmetry (sym); a comma list, bare --reduce enables both "
+            f"(default: {DEFAULT_REDUCTION}).  Verdict-preserving: same "
+            "exit status as the unreduced run, and a failing scenario "
+            "is raised from an unreduced search (see docs/reduction.md)",
         )
         p.add_argument(
             "--no-reduce",
             dest="reduce",
             action="store_const",
-            const=None,
-            help="force unreduced exploration (the default)",
+            const="none",
+            help="explore unreduced: the state counts of the paper's "
+            "plain deadlock search",
         )
 
     def tracing_options(p, profile_flag="--profile"):

@@ -87,6 +87,7 @@ class CompositionResult:
         outcomes: Optional[List[IslandOutcome]] = None,
         monolithic=None,
         fallback_reason: Optional[str] = None,
+        cache_misses: Optional[int] = None,
     ) -> None:
         self.partition = partition
         self.mode = mode
@@ -94,6 +95,8 @@ class CompositionResult:
         self.outcomes = outcomes or []
         self.monolithic = monolithic
         self.fallback_reason = fallback_reason
+        #: verdict-cache misses of the island fan-out (None: no cache)
+        self.cache_misses = cache_misses
 
     @property
     def compositional(self) -> bool:
@@ -110,7 +113,7 @@ class CompositionResult:
     def stats(self) -> Optional[EngineStats]:
         """The islands' stats (:func:`~repro.batch.pool.fold_stats`)."""
         if self.compositional:
-            return fold_stats(self.outcomes)
+            return fold_stats(self.outcomes, misses=self.cache_misses)
         return self.monolithic.stats if self.monolithic else None
 
     def format(self, *, show_stats: bool = False) -> str:
@@ -158,7 +161,10 @@ class CompositionResult:
 
 
 def combine_outcomes(
-    partition: Partition, outcomes: List[IslandOutcome]
+    partition: Partition,
+    outcomes: List[IslandOutcome],
+    *,
+    cache_misses: Optional[int] = None,
 ) -> CompositionResult:
     """Fold island outcomes into the composed verdict.
 
@@ -177,4 +183,5 @@ def combine_outcomes(
         mode="compositional",
         verdict=verdict,
         outcomes=outcomes,
+        cache_misses=cache_misses,
     )

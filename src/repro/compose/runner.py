@@ -41,6 +41,7 @@ from repro.compose.combiner import (
     combine_outcomes,
 )
 from repro.compose.coupling import Partition, partition_instance
+from repro.engine.reduce import DEFAULT_REDUCTION, reduction_token
 from repro.engine.stats import EngineStats
 from repro.translate.quantum import TimingQuantizer
 
@@ -92,7 +93,7 @@ def analyze_compositionally(
     cache=None,
     progress: Optional[ProgressFn] = None,
     portfolio: bool = False,
-    reduction: Union[str, None] = None,
+    reduction: Union[str, None] = DEFAULT_REDUCTION,
 ) -> CompositionResult:
     """Analyze ``model`` island by island when that is sound, falling
     back to :func:`~repro.analysis.analyze_model` (with the reason
@@ -121,8 +122,6 @@ def analyze_compositionally(
     mode name riding in each job's cache key.
     """
     from repro.obs.tracer import current_tracer
-
-    from repro.engine.reduce import reduction_token
 
     tracer = current_tracer()
     reduce_token = reduction_token(reduction)
@@ -219,6 +218,7 @@ def analyze_compositionally(
         for island in pending_islands
     ]
     explored: dict = {}
+    misses = None
     if jobs:
         report = run_batch(
             jobs, workers=workers, cache=cache, progress=progress
@@ -227,6 +227,7 @@ def analyze_compositionally(
             island.label: result
             for island, result in zip(pending_islands, report.results)
         }
+        misses = report.stats.counters.get("batch.verdict_cache_misses")
 
     with tracer.span(
         "compose.combine",
@@ -256,7 +257,7 @@ def analyze_compositionally(
                     error=result.error,
                 )
             )
-        combined = combine_outcomes(partition, outcomes)
+        combined = combine_outcomes(partition, outcomes, cache_misses=misses)
         span.set(verdict=combined.verdict.value).incr(
             "states", combined.num_states
         )
@@ -269,7 +270,7 @@ def analyze_island(
     *,
     quantum: Optional[TimeValue] = None,
     max_states: int = 1_000_000,
-    reduction: Optional[str] = None,
+    reduction: Optional[str] = DEFAULT_REDUCTION,
     steady_mode: bool = False,
 ) -> AnalysisResult:
     """Analyze the slice of ``instance`` holding ``island``'s members

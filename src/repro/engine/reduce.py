@@ -79,6 +79,14 @@ from repro.acsr.terms import (
 #: canonicalization first, then the ample filter over canonical states.
 PASS_NAMES = ("sym", "por")
 
+#: The passes every verdict run applies unless told otherwise (``None``
+#: or ``"none"`` asks for unreduced exploration).  ``sym`` stays out:
+#: it canonicalizes states by interned identity, so the representatives
+#: it explores depend on the process's history.  A deadlock the reduced search
+#: finds is re-found by an unreduced search before it is raised
+#: (:func:`repro.analysis.schedulability.analyze_model`).
+DEFAULT_REDUCTION = "por"
+
 #: Registered reduction fault-injection modes (oracle self-tests).
 REDUCTION_FAULTS = {
     "overeager-sym": (

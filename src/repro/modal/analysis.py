@@ -21,6 +21,7 @@ from repro.aadl.instance import SystemInstance, instantiate
 from repro.aadl.properties import TimeValue
 from repro.analysis.modes import ModalAnalysisResult, analyze_all_modes
 from repro.analysis.schedulability import Verdict
+from repro.engine.reduce import DEFAULT_REDUCTION
 from repro.engine.stats import EngineStats
 from repro.modal.automaton import ModeAutomaton, TransitionEdge
 from repro.modal.transient import (
@@ -160,7 +161,7 @@ def analyze_modal(
     max_states: int = 1_000_000,
     portfolio: bool = False,
     tiers: Optional[str] = None,
-    reduction: Optional[str] = None,
+    reduction: Optional[str] = DEFAULT_REDUCTION,
     workers: Optional[int] = None,
     cache=None,
     progress=None,
@@ -253,6 +254,7 @@ def analyze_modal(
 
     stats = fold_stats(
         steady.per_mode.values(),
+        misses=steady.cache_misses,
         strategy="modal",
         wall_elapsed=time.perf_counter() - started,
     )

@@ -9,8 +9,10 @@ source, in any combination.
 
 The draw is stratified: seed ``s`` draws family ``s % 4``
 (:data:`FAMILIES`) and layers ``COMBOS[(s // 4) % 15]``, so every
-window of 60 seeds runs each family under each combination once.  Both
-requests run through :func:`repro.analysis.request.analyze` at the
+window of 60 seeds runs each family under each combination once.  The
+plain request is explicitly unreduced (``reduce="none"``: reduction is
+on by default), and a combination's ``reduce=None`` is unreduced too.
+Both requests run through :func:`repro.analysis.request.analyze` at the
 same budget and are classified with
 :func:`repro.oracle.relations.equal`, per mode (folded with
 :func:`~repro.oracle.relations.worst`) for the all-modes family:
@@ -229,7 +231,7 @@ def evaluate(
 
     if layers["decomposition"] or not layers["reduce"]:
         fault = None
-    plain = run()
+    plain = run(reduce="none")
     layered = run(fault=fault, **layers)
     status, details = classify(plain, layered)
     combo = " ".join(

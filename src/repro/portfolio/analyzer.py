@@ -31,6 +31,7 @@ from repro.analysis.schedulability import (
     Verdict,
     analyze_model,
 )
+from repro.engine.reduce import DEFAULT_REDUCTION
 from repro.engine.result import ExplorationResult
 from repro.engine.stats import EngineStats
 from repro.portfolio.context import PortfolioContext, build_context
@@ -231,7 +232,7 @@ def analyze_portfolio(
     strategy=None,
     observers=None,
     analyzer: Optional[PortfolioAnalyzer] = None,
-    reduction=None,
+    reduction=DEFAULT_REDUCTION,
     reduction_fault=None,
     steady_mode: bool = False,
 ) -> AnalysisResult:

@@ -529,6 +529,7 @@ def job_from_request(body: Dict[str, Any]) -> AnalysisJob:
     else; the HTTP layer turns that into a 400.
     """
     from repro.analysis.request import DEFAULT_TIERS, AnalysisRequest
+    from repro.engine.reduce import DEFAULT_REDUCTION
 
     if not isinstance(body, dict):
         raise ServeError("request body must be a JSON object")
@@ -579,7 +580,7 @@ def job_from_request(body: Dict[str, Any]) -> AnalysisJob:
                 if body.get("portfolio")
                 else None
             ),
-            reduce=options.get("reduce"),
+            reduce=options.get("reduce", DEFAULT_REDUCTION),
         )
     except ReproError as exc:
         raise ServeError(f"bad request: {exc}") from exc

@@ -85,7 +85,9 @@ class TestAnalyze:
 
     def test_compose_stats_aggregates_the_islands(self, capsys):
         path = str(Path(__file__).parents[1] / "examples/dual_island.aadl")
-        assert main(["analyze", path, "--compose", "--stats"]) == 0
+        assert main(
+            ["analyze", path, "--compose", "--no-reduce", "--stats"]
+        ) == 0
         out = capsys.readouterr().out
         assert "compose: 2 islands (30 states total)" in out
         assert "engine stats:" in out

@@ -418,8 +418,10 @@ class TestIslandJobs:
 
 class TestAnalyzeCompositionally:
     def test_agrees_with_monolithic_and_explores_fewer_states(self):
-        monolithic = analyze_model(dual_island())
-        composed = analyze_compositionally(dual_island(), workers=1)
+        monolithic = analyze_model(dual_island(), reduction="none")
+        composed = analyze_compositionally(
+            dual_island(), workers=1, reduction="none"
+        )
         assert composed.compositional
         assert composed.verdict is monolithic.verdict
         # The whole point: sum of islands < product state space.

@@ -30,7 +30,7 @@ from repro.engine.reduce import (
 )
 from repro.errors import AnalysisError
 from repro.translate import translate
-from repro.workloads import replicated_system
+from repro.workloads import multiprocessor_system, replicated_system
 
 SEED = 7
 
@@ -256,7 +256,7 @@ class TestEngineIntegration:
 
 class TestAnalysisEquivalence:
     def test_analyze_model_reduced_matches_unreduced(self, replicated):
-        unreduced = analyze_model(replicated)
+        unreduced = analyze_model(replicated, reduction="none")
         reduced = analyze_model(replicated, reduction="sym,por")
         assert reduced.verdict is unreduced.verdict
         assert reduced.num_states < unreduced.num_states
@@ -265,7 +265,7 @@ class TestAnalysisEquivalence:
 
     def test_jittered_model_runs_unreduced(self, jittered):
         """When no pass applies the reduced path is the identity."""
-        unreduced = analyze_model(jittered)
+        unreduced = analyze_model(jittered, reduction="none")
         reduced = analyze_model(jittered, reduction="sym")
         assert reduced.verdict is unreduced.verdict
         assert reduced.num_states == unreduced.num_states
@@ -283,6 +283,75 @@ class TestAnalysisEquivalence:
         assert result.verdict is analyze_model(replicated).verdict
 
 
+def _benchmark_draw(index):
+    """A shared-bus multiprocessor draw in the end-to-end benchmark's
+    ``explore-multiproc`` shapes (2x3 and 3x2 processors x threads)."""
+    rng = np.random.default_rng(index)
+    processors, threads = ((2, 3), (3, 2))[index % 2]
+    return multiprocessor_system(
+        processors,
+        threads,
+        utilization_per_processor=float(rng.uniform(0.4, 0.95)),
+        shared_bus=True,
+        rng=rng,
+    )
+
+
+class TestDefaultReduction:
+    """Partial-order reduction is on by default; a deadlock it finds is
+    raised from an unreduced search."""
+
+    def test_default_matches_unreduced_verdicts_and_scenarios(self):
+        unschedulable = 0
+        for index in range(40):
+            instance = _benchmark_draw(index)
+            default = analyze_model(instance)
+            plain = analyze_model(instance, reduction="none")
+            assert default.verdict is plain.verdict, index
+            if plain.verdict is Verdict.UNSCHEDULABLE:
+                unschedulable += 1
+                assert default.scenario.format() == plain.scenario.format()
+                assert default.num_states == plain.num_states
+            else:
+                assert default.num_states < plain.num_states
+        assert unschedulable >= 2
+
+    def test_stats_count_both_searches(self):
+        instance = _benchmark_draw(4)
+        default = analyze_model(instance)
+        plain = analyze_model(instance, reduction="none")
+        translation = translate(instance)
+        reduced = explore(
+            translation.system,
+            stop_at_first_deadlock=True,
+            reduction=build_reduction(translation, "por"),
+        )
+        assert default.verdict is Verdict.UNSCHEDULABLE
+        assert default.stats.states == reduced.num_states + plain.num_states
+        assert default.stats.counters["reduce.por_pruned"] > 0
+
+    def test_truncated_rerun_keeps_the_reduced_witness(self):
+        """Draw 4's reduced search meets a deadlock within 40 states,
+        the unreduced one only after 177: at a 100-state budget the
+        re-run truncates and the reduced witness is raised."""
+        instance = _benchmark_draw(4)
+        translation = translate(instance)
+        reduced = explore(
+            translation.system,
+            budget=Budget(max_states=100, on_limit="truncate"),
+            stop_at_first_deadlock=True,
+            reduction=build_reduction(translation, "por"),
+        )
+        assert reduced.deadlock_states
+        assert analyze_model(instance, reduction="none").num_states > 100
+        result = analyze_model(instance, max_states=100)
+        assert result.verdict is Verdict.UNSCHEDULABLE
+        assert result.num_states == reduced.num_states
+        trace = result.exploration.first_deadlock_trace()
+        assert trace.labels() == reduced.first_deadlock_trace().labels()
+        assert result.stats.states == reduced.num_states + 100
+
+
 def _job(source, **fields):
     return AnalysisJob.from_request(AnalysisRequest(source=source, **fields))
 
@@ -297,13 +366,16 @@ class TestBatchCacheKeys:
         assert cache_key(plain) != cache_key(reduced)
 
     def test_unreduced_key_is_unchanged_by_the_feature(self):
-        """``reduce=None`` must leave the request exactly as an
-        unreduced one, so the two share cache entries."""
+        """``reduce=None`` and ``reduce="none"`` are one unreduced
+        request, sharing cache entries; the default (reduced) request
+        keys apart from it."""
         source = "system S\nend S;\n"
-        plain = _job(source, root="S.impl")
+        unreduced = _job(source, root="S.impl", reduce="none")
         explicit = _job(source, root="S.impl", reduce=None)
-        assert plain.payload == explicit.payload
-        assert cache_key(plain) == cache_key(explicit)
+        default = _job(source, root="S.impl")
+        assert unreduced.payload == explicit.payload
+        assert cache_key(unreduced) == cache_key(explicit)
+        assert cache_key(default) != cache_key(unreduced)
 
 
 @pytest.fixture()

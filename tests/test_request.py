@@ -26,6 +26,7 @@ from repro.analysis.request import (
 )
 from repro.batch import JOB_KINDS, AnalysisJob, cache_key
 from repro.compose import analyze_compositionally
+from repro.engine.reduce import DEFAULT_REDUCTION
 from repro.errors import BatchError, ReproError, RequestError
 from repro.hier import analyze_hier
 from repro.modal import analyze_modal
@@ -73,7 +74,7 @@ class TestCanonicalForm:
             root="CruiseControl.impl",
             protocol="synchronous",
             max_states=1_000_000,
-            reduce="none",
+            reduce=DEFAULT_REDUCTION,
         )
         assert "protocol" not in spelled.to_dict()
         assert "max_states" not in spelled.to_dict()
@@ -95,9 +96,10 @@ class TestCanonicalForm:
                 {"modes": "modal"},
                 {"modes": "modal", "protocol": "asynchronous"},
                 {"mode": "error"},
+                {"reduce": "none"},
             )
         }
-        assert len(keys) == 7
+        assert len(keys) == 8
 
     def test_round_trip_is_identity(self):
         request = AnalysisRequest(
@@ -207,42 +209,59 @@ class TestReductionFault:
 
 def _shapes(model, root):
     """Every legal request shape for ``model``, each with the direct
-    entry-point call it must agree with."""
+    entry-point call it must agree with.  Past the default shape, the
+    exploring ones run unreduced, so the state counts compared are
+    those of the plain deadlock search."""
     instance = lambda: instantiate(model, root)  # noqa: E731
+    none = {"reduce": "none"}
     shapes = [
         ({}, lambda: analyze_model(instance())),
-        ({"tiers": DEFAULT_TIERS}, lambda: analyze_portfolio(instance())),
+        (none, lambda: analyze_model(instance(), reduction="none")),
+        (
+            {"tiers": DEFAULT_TIERS, **none},
+            lambda: analyze_portfolio(instance(), reduction="none"),
+        ),
         (
             {"reduce": "sym,por"},
             lambda: analyze_model(instance(), reduction="sym,por"),
         ),
         (
-            {"quantum_ps": 500_000_000},
-            lambda: analyze_model(instance(), quantum=us(500)),
+            {"quantum_ps": 500_000_000, **none},
+            lambda: analyze_model(
+                instance(), quantum=us(500), reduction="none"
+            ),
         ),
         (
-            {"decomposition": "compose"},
-            lambda: analyze_compositionally(instance(), workers=1),
+            {"decomposition": "compose", **none},
+            lambda: analyze_compositionally(
+                instance(), workers=1, reduction="none"
+            ),
         ),
         ({"decomposition": "hier"}, lambda: analyze_hier(instance())),
-        ({"modes": "all"}, lambda: analyze_all_modes(model, root)),
         (
-            {"modes": "all", "tiers": DEFAULT_TIERS},
-            lambda: analyze_all_modes(model, root, portfolio=True),
+            {"modes": "all", **none},
+            lambda: analyze_all_modes(model, root, reduction="none"),
+        ),
+        (
+            {"modes": "all", "tiers": DEFAULT_TIERS, **none},
+            lambda: analyze_all_modes(
+                model, root, portfolio=True, reduction="none"
+            ),
         ),
     ]
     for protocol in ("synchronous", "asynchronous"):
         shapes.append((
-            {"modes": "modal", "protocol": protocol},
+            {"modes": "modal", "protocol": protocol, **none},
             lambda protocol=protocol: analyze_modal(
-                model, root, protocol=protocol
+                model, root, protocol=protocol, reduction="none"
             ),
         ))
     for mode in model.implementation(root).modes.values():
         shapes.append((
-            {"mode": mode.name},
+            {"mode": mode.name, **none},
             lambda mode=mode: analyze_model(
-                instantiate(model, root, mode_overrides={root: mode.name})
+                instantiate(model, root, mode_overrides={root: mode.name}),
+                reduction="none",
             ),
         ))
     return shapes

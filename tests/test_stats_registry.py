@@ -14,6 +14,10 @@ It differs from that record in two places only, both bug fixes:
   cache (which stores JSON with sorted keys) served the run;
 * ``analyze --compose --stats`` prints the islands' aggregate under
   ``engine stats:``; before, the compositional path dropped it.
+
+The record describes unreduced exploration, so every exploring case
+but ``reduce`` spells out ``--no-reduce``; the ``default`` case records
+the partial-order-reduced default run.
 """
 
 from __future__ import annotations
@@ -43,10 +47,12 @@ GOLDEN = Path(__file__).parent / "data" / "stats_golden.json"
 #: One command per layer that writes counters; ``{replicated}`` and
 #: ``{cache}`` are filled in per run.
 CASES = {
-    "plain": ["analyze", "cruise_control.aadl", "--stats"],
+    "plain": ["analyze", "cruise_control.aadl", "--no-reduce", "--stats"],
+    "default": ["analyze", "cruise_control.aadl", "--stats"],
     "portfolio": ["analyze", "dual_island.aadl", "--portfolio", "--stats"],
     "portfolio-escalated": [
-        "analyze", "cruise_control.aadl", "--portfolio", "--stats",
+        "analyze", "cruise_control.aadl", "--portfolio", "--no-reduce",
+        "--stats",
     ],
     "reduce": ["analyze", "{replicated}", "--reduce", "sym,por", "--stats"],
     "hier": ["analyze", "arinc653.aadl", "--hier", "--stats"],
@@ -56,13 +62,15 @@ CASES = {
     ],
     "modal-async": [
         "analyze", "fault_recovery.aadl", "--modal", "--protocol",
-        "asynchronous", "--stats",
+        "asynchronous", "--no-reduce", "--stats",
     ],
-    "compose": ["analyze", "dual_island.aadl", "--compose", "--stats"],
+    "compose": [
+        "analyze", "dual_island.aadl", "--compose", "--no-reduce", "--stats",
+    ],
     "batch": [
         "batch", "run", "cruise_control.aadl", "dual_island.aadl",
-        "arinc653.aadl", "--jobs", "1", "--portfolio", "--stats",
-        "--cache-dir", "{cache}",
+        "arinc653.aadl", "--jobs", "1", "--portfolio", "--no-reduce",
+        "--stats", "--cache-dir", "{cache}",
     ],
 }
 
@@ -148,7 +156,7 @@ class TestOneStatsRule:
     def test_compose_under_all_modes_keeps_its_stats(self, tmp_path):
         _, out = run_case(
             ["analyze", "fault_recovery.aadl", "--all-modes", "--compose",
-             "--stats"],
+             "--no-reduce", "--stats"],
             tmp_path,
         )
         assert "    states: 94  transitions: 111" in _stats_block(out)
@@ -159,6 +167,7 @@ class TestOneStatsRule:
         request = AnalysisRequest(
             source=(EXAMPLES / "dual_island.aadl").read_text(),
             decomposition="compose",
+            reduce="none",
         )
         result = analyze(request)
         stored = _job_result(AnalysisJob.from_request(request), result)
@@ -183,6 +192,25 @@ class TestOneStatsRule:
         assert "states: 0  transitions: 0" not in cold
         assert "states: 0  transitions: 0  expanded: 0" in warm
         assert f"verdict cache: {hits} hits / 0 misses" in warm
+
+    @pytest.mark.parametrize(
+        "argv, misses",
+        [
+            (["analyze", "dual_island.aadl", "--compose"], 2),
+            (["analyze", "fault_recovery.aadl", "--all-modes"], 3),
+            (["analyze", "fault_recovery.aadl", "--modal", "--protocol",
+              "asynchronous"], 3),
+        ],
+        ids=["compose", "all-modes", "modal-async"],
+    )
+    def test_cold_run_counts_its_misses(self, argv, misses, tmp_path):
+        """A fan-out that consulted the cache reports its misses, the
+        way ``batch run`` does, and one without a cache reports none."""
+        _, cold = run_case(argv + ["--stats", "--cache-dir", "{cache}"],
+                           tmp_path)
+        assert f"verdict cache: 0 hits / {misses} misses" in cold
+        _, uncached = run_case(argv + ["--stats"], tmp_path)
+        assert "verdict cache:" not in uncached
 
 
 def _stats(counters, **core):
