@@ -35,7 +35,6 @@ successors only for the steps the priority filter keeps.
 from __future__ import annotations
 
 from bisect import insort
-from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import AcsrDefinitionError, AcsrSemanticsError
@@ -55,6 +54,7 @@ from repro.acsr.terms import (
     Restrict,
     Scope,
     Term,
+    by_rank,
     parallel,
     scope,
 )
@@ -62,7 +62,6 @@ from repro.acsr.terms import (
 Transition = Tuple[object, Term]  # (Action | EventLabel, successor)
 
 _COMPLEMENT = {IN: OUT, OUT: IN}
-_term_id = attrgetter("_id")
 
 
 def transitions(term: Term, env) -> Tuple[Transition, ...]:
@@ -172,7 +171,7 @@ def _with_children(
     for index, _ in reversed(replaced):
         del rest[index]
     for _, successor in replaced:
-        insort(rest, successor, key=_term_id)
+        insort(rest, successor, key=by_rank)
     if len(rest) == 1:
         return rest[0]
     return Parallel(tuple(rest))

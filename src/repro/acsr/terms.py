@@ -35,9 +35,9 @@ semantics only ever sees closed terms, produced by
 
 from __future__ import annotations
 
-import itertools
-from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from hashlib import blake2b
+from operator import attrgetter
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import AcsrSemanticsError
 from repro.acsr.expressions import BoolExpr, Expr, as_expr
@@ -48,7 +48,17 @@ from repro.acsr.resources import Action, EMPTY_ACTION, make_action
 INFINITY: Optional[int] = None
 
 _TERM_INTERN: Dict[tuple, "Term"] = {}
-_NEXT_ID = itertools.count()
+_LEAF_CODES: Dict[object, int] = {}
+
+
+def _leaf_code(leaf: object) -> int:
+    """The 64-bit code of a non-term part of an intern key (kind tag,
+    name, bound, action, label, name set or expression key): a BLAKE2b
+    digest of its ``repr``, sets sorted first, memoized per leaf."""
+    text = repr(sorted(leaf) if isinstance(leaf, frozenset) else leaf)
+    digest = blake2b(text.encode(), digest_size=8).digest()
+    code = _LEAF_CODES[leaf] = int.from_bytes(digest, "big")
+    return code
 
 
 def _intern(key: tuple, build) -> "Term":
@@ -56,15 +66,36 @@ def _intern(key: tuple, build) -> "Term":
     if cached is not None:
         return cached
     term = build()
-    term._id = next(_NEXT_ID)
+    codes = _LEAF_CODES
+    term._rank = hash(tuple([
+        part._rank if isinstance(part, Term)
+        else codes.get(part) or _leaf_code(part)
+        for part in key
+    ]))
     _TERM_INTERN[key] = term
     return term
 
 
-class Term:
-    """Base class of all ACSR process terms (interned, immutable)."""
+#: Sort key of terms: their content rank (see :class:`Term`).
+by_rank = attrgetter("_rank")
 
-    __slots__ = ("_id",)
+
+class Term:
+    """Base class of all ACSR process terms (interned, immutable).
+
+    ``_rank`` is the sort key of terms (``Choice``/``Parallel``
+    children, symmetry representatives): the hash of the tuple of the
+    intern key's leaf codes (:func:`_leaf_code`) and children's ranks.
+    A tuple of ints hashes alike under every ``PYTHONHASHSEED``, so a
+    rank depends on the term's content alone, not on what the process
+    built before.  Interning makes equal content one object, so ranks
+    order live terms totally unless two distinct terms collide: with
+    ranks spread evenly over 64 bits, ``n`` live terms collide with
+    probability below ``n**2 / 2**65`` (3e-8 for a million terms), and
+    a collision only ties the two, which then keep the caller's order.
+    """
+
+    __slots__ = ("_rank",)
 
     # Identity semantics: interning guarantees structural equality implies
     # object identity, so the default object __eq__/__hash__ are correct
@@ -214,9 +245,9 @@ class Choice(Term):
     """N-ary nondeterministic choice ``P1 + ... + Pn`` (canonicalized).
 
     Construction flattens nested choices, removes duplicates and ``NIL``
-    summands (``NIL`` is the unit of ``+``), and sorts children by intern
-    id.  A choice never has fewer than two children -- the smart
-    constructor :func:`choice` collapses degenerate cases.
+    summands (``NIL`` is the unit of ``+``), and sorts children by
+    content rank.  A choice never has fewer than two children -- the
+    smart constructor :func:`choice` collapses degenerate cases.
     """
 
     __slots__ = ("children",)
@@ -250,10 +281,11 @@ class Choice(Term):
 class Parallel(Term):
     """N-ary parallel composition ``P1 || ... || Pn`` (canonicalized).
 
-    Children are flattened and sorted; ``NIL`` components are *kept*
-    because a ``NIL`` component refuses time progress and therefore
-    changes the behaviour of the composition (this is precisely how
-    deadline violations deadlock the model, paper S5).
+    Children are flattened and sorted by content rank; ``NIL``
+    components are *kept* because a ``NIL`` component refuses time
+    progress and therefore changes the behaviour of the composition
+    (this is precisely how deadline violations deadlock the model,
+    paper S5).
     """
 
     __slots__ = ("children",)
@@ -682,10 +714,7 @@ def choice(*terms: Term) -> Term:
     """Canonical n-ary choice (drops NIL summands, dedups, flattens)."""
     flat = _flatten(Choice, terms)
     filtered = [t for t in flat if t is not NIL]
-    unique: Dict[int, Term] = {}
-    for term in filtered:
-        unique[id(term)] = term
-    items = sorted(unique.values(), key=lambda t: t._id)
+    items = sorted(dict.fromkeys(filtered), key=by_rank)
     if not items:
         return NIL
     if len(items) == 1:
@@ -696,7 +725,7 @@ def choice(*terms: Term) -> Term:
 def parallel(*terms: Term) -> Term:
     """Canonical n-ary parallel composition (flattens, sorts; keeps NIL)."""
     flat = _flatten(Parallel, terms)
-    items = sorted(flat, key=lambda t: t._id)
+    items = sorted(flat, key=by_rank)
     if not items:
         return NIL
     if len(items) == 1:
@@ -775,28 +804,3 @@ def seq(*parts: Union[_Pending, Term]) -> Term:
         term = part.then(term)
     return term
 
-
-def intern_table_size() -> int:
-    """Number of distinct terms created so far (diagnostics/benchmarks)."""
-    return len(_TERM_INTERN)
-
-
-@contextmanager
-def intern_scope() -> Iterator[None]:
-    """Forget every term interned inside the block when it exits.
-
-    ``Choice``/``Parallel`` children sort by intern id, so the order in
-    which a search meets successors -- and the states it counts before
-    a deadlock stops it -- depends on which terms the process interned
-    earlier.  Inside a scope that history is the scope's own: a unit of
-    work counts the same states whatever ran before it in the process.
-    Terms built inside the block must not be used after it.
-    """
-    size = len(_TERM_INTERN)
-    try:
-        yield
-    finally:
-        # Interning only ever appends, so the block's terms are the
-        # newest entries.
-        while len(_TERM_INTERN) > size:
-            _TERM_INTERN.popitem()

@@ -60,8 +60,9 @@ logger = logging.getLogger(__name__)
 #: request) or to the stored result layout (3: ``JobResult.stats`` keeps
 #: the feature counters in one namespaced ``counters`` map; 4: a reduced
 #: run raises its scenario from an unreduced search and counts both
-#: searches in its stats).
-CACHE_SCHEMA_VERSION = 4
+#: searches in its stats; 5: searches order terms by content rank, so a
+#: stored count or scenario no longer depends on the process's history).
+CACHE_SCHEMA_VERSION = 5
 
 #: Default on-disk location for cached verdicts.
 DEFAULT_CACHE_DIR = os.path.join("artifacts", "cache")

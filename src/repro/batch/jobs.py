@@ -424,17 +424,12 @@ def _execute_case(job: AnalysisJob) -> JobResult:
 
 
 def _execute_relation(job: AnalysisJob) -> JobResult:
-    from repro.acsr.terms import intern_scope
     from repro.oracle.relations import RELATIONS
 
     payload = job.payload
-    # Its own intern scope makes a seed's state counts independent of
-    # the seeds this process ran before: inline and pooled campaigns,
-    # and a seed re-run alone, count the same.
-    with intern_scope():
-        outcome = RELATIONS[payload["relation"]].evaluate(
-            payload["seed"], **payload["params"]
-        )
+    outcome = RELATIONS[payload["relation"]].evaluate(
+        payload["seed"], **payload["params"]
+    )
     return JobResult(
         job_id=job.job_id,
         kind=job.kind,

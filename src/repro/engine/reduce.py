@@ -71,6 +71,7 @@ from repro.acsr.terms import (
     Restrict,
     Scope,
     Term,
+    by_rank,
     choice,
     parallel,
 )
@@ -81,9 +82,9 @@ PASS_NAMES = ("sym", "por")
 
 #: The passes every verdict run applies unless told otherwise (``None``
 #: or ``"none"`` asks for unreduced exploration).  ``sym`` stays out:
-#: it canonicalizes states by interned identity, so the representatives
-#: it explores depend on the process's history.  A deadlock the reduced search
-#: finds is re-found by an unreduced search before it is raised
+#: on the benchmark's multiprocessor inputs it costs more time than it
+#: saves (docs/reduction.md).  A deadlock the reduced search finds is
+#: re-found by an unreduced search before it is raised
 #: (:func:`repro.analysis.schedulability.analyze_model`).
 DEFAULT_REDUCTION = "por"
 
@@ -653,13 +654,13 @@ class SymmetryReduction(ReductionPass):
                 tuple(
                     sorted(
                         (rename_term(kid, mapping, cache) for kid in kids),
-                        key=lambda t: t._id,
+                        key=by_rank,
                     )
                 )
             )
         order = sorted(
             range(len(cls.units)),
-            key=lambda unit: tuple(t._id for t in locals_[unit]),
+            key=lambda unit: tuple(map(by_rank, locals_[unit])),
         )
         if order == list(range(len(cls.units))):
             return children

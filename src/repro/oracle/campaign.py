@@ -145,12 +145,10 @@ def draw_case(
     )
 
 
-def _tally(
-    counts: Dict[str, int], states: int, stats: Optional[Dict[str, Any]]
-) -> None:
+def _tally(counts: Dict[str, int], stats: Optional[Dict[str, Any]]) -> None:
     """Add one pipeline run's exploration to the case counters."""
     stats = stats or {}
-    counts["states"] += states
+    counts["states"] += stats.get("states", 0)
     counts["transitions"] += stats.get("transitions", 0)
     counts["engine_cache_hits"] += stats.get("cache_hits", 0)
     counts["engine_cache_misses"] += stats.get("cache_misses", 0)
@@ -214,7 +212,7 @@ def evaluate(
         counts["verdict_cache_misses"] = batch.cache_misses
     if not result.cached:
         counts["runs"] = 1
-        _tally(counts, result.states, result.stats)
+        _tally(counts, result.stats)
     details = []
     if classification.status is DISAGREED:
         details = [
@@ -251,11 +249,7 @@ def _shrink_and_save(
         )
         stats = pipeline.stats
         counts["shrink_runs"] += 1
-        _tally(
-            counts,
-            pipeline.num_states,
-            stats.as_dict() if stats is not None else None,
-        )
+        _tally(counts, stats.as_dict() if stats is not None else None)
         return pipeline, oracles, classification
 
     shrink = shrink_case(

@@ -1,6 +1,7 @@
 """Tests of the top-level analysis pipeline and trace raising."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.aadl import parse_model
 from repro.aadl.gallery import (
@@ -19,6 +20,7 @@ from repro.analysis import (
     render_timeline,
 )
 from repro.analysis.raising import PREEMPTED, RUNNING, WAITING
+from repro.oracle.campaign import PROFILES, draw_case
 from repro.versa import find_deadlock
 
 
@@ -283,3 +285,35 @@ class TestTimelineRuler:
         assert "t=3" in text
         assert "queue_overflow" in text
         assert "Sys.conn" in text
+
+
+class TestHistoryIndependence:
+    ARGVS = (
+        ("seed33",),
+        ("seed33", "--reduce", "sym,por"),
+        ("replicated", "--reduce", "sym,por"),
+    )
+
+    @pytest.fixture(scope="class")
+    def fresh_texts(self, history_models, fresh_cli):
+        return {
+            argv: fresh_cli(self._argv(argv, history_models))
+            for argv in self.ARGVS
+        }
+
+    @staticmethod
+    def _argv(argv, history_models):
+        return ["analyze", history_models[argv[0]], *argv[1:], "--stats"]
+
+    @settings(max_examples=10)
+    @given(warm_up=st.lists(st.integers(0, 9_999), max_size=3))
+    def test_warm_up_does_not_change_the_search(
+        self, history_models, cli_here, fresh_texts, warm_up
+    ):
+        """Whatever ran before in the process, the unreduced witness
+        search and the ``sym,por`` search count the states, and raise
+        the scenario, of a fresh process."""
+        for seed in warm_up:
+            analyze_model(draw_case(PROFILES["smoke"], seed, seed).system())
+        for argv, text in fresh_texts.items():
+            assert cli_here(self._argv(argv, history_models)) == text

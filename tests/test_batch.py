@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,8 @@ from repro.cli import main
 from repro.engine.stats import EngineStats
 from repro.errors import BatchError, RequestError
 from repro.oracle.case import OracleCase
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
 def _job(source, job_id=None, **fields):
@@ -549,3 +552,38 @@ class TestModalJobs:
         assert job.kind == "analysis"
         assert job.request.modes == "modal"
         assert job.request.protocol == "asynchronous"
+
+
+class TestHistoryIndependence:
+    def test_jobs_1_and_2_print_the_same_rows(
+        self, history_models, fresh_cli
+    ):
+        """A mixed batch (unschedulable oracle cases and cruise
+        control) reports the same rows whether one process runs it in
+        order or the pool spreads it over two workers."""
+        argv = [
+            "batch", "run", *history_models.values(),
+            EXAMPLES / "cruise_control.aadl",
+        ]
+        inline = fresh_cli(argv + ["--jobs", "1"])
+        pooled = fresh_cli(argv + ["--jobs", "2"])
+        assert "unschedulable" in inline
+        assert inline.splitlines()[1:] == pooled.splitlines()[1:]
+
+    def test_cache_hit_prints_what_a_fresh_run_prints(
+        self, history_models, fresh_cli, mask_times, tmp_path
+    ):
+        """A verdict stored by a process that ran other models first
+        serves the count and scenario a fresh process computes."""
+        target = history_models["seed33"]
+        cache = tmp_path / "cache"
+        fresh_cli(
+            ["batch", "run", target, "--jobs", "1", "--cache-dir", cache],
+            warm=[history_models[f"seed{seed}"] for seed in range(39, 33, -1)],
+        )
+        job = AnalysisJob.from_file(str(target))
+        hit = run_batch([job], workers=1, cache=str(cache)).results[0]
+        assert hit.cached
+        assert mask_times(hit.rendered + "\n") == fresh_cli(
+            ["analyze", target]
+        )

@@ -380,3 +380,20 @@ class TestModalCli:
             == 0
         )
         assert "schedulable" in capsys.readouterr().out
+
+
+class TestHistoryIndependence:
+    def test_stats_and_scenario_depend_on_the_model_alone(
+        self, history_models, fresh_cli
+    ):
+        """An unschedulable model's ``--stats`` and scenario text are
+        the same in a fresh process, after a warm-up of other models,
+        and under another ``PYTHONHASHSEED``."""
+        argv = ["analyze", history_models["seed33"], "--stats"]
+        warm = [history_models[f"seed{seed}"] for seed in range(39, 33, -1)]
+        fresh = fresh_cli(argv)
+        assert "failing scenario:" in fresh
+        assert "engine stats:" in fresh
+        assert fresh_cli(argv, warm=warm) == fresh
+        assert fresh_cli(argv, warm=warm[::-1], hash_seed="7") == fresh
+        assert fresh_cli(argv, hash_seed="7") == fresh
