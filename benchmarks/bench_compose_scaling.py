@@ -20,9 +20,9 @@ shows the gap widening with island count.
 
 import pytest
 
+from repro.aadl import format_model
 from repro.aadl.gallery import dual_island
-from repro.analysis import analyze_model
-from repro.compose import analyze_compositionally
+from repro.analysis import AnalysisRequest, analyze, analyze_model
 from repro.workloads.generators import multiprocessor_system
 
 from conftest import print_table
@@ -45,6 +45,18 @@ def _system(n_islands: int):
     )
 
 
+def _compose(instance):
+    """``instance`` analyzed unreduced with ``decomposition="compose"``."""
+    model = instance.declarative
+    request = AnalysisRequest(
+        source=format_model(model),
+        decomposition="compose",
+        max_states=MAX_STATES,
+        reduce="none",
+    )
+    return analyze(request, model=model, workers=1)
+
+
 def test_gallery_dual_island_sum_beats_product(benchmark):
     """The ISSUE acceptance criterion on the 2-processor gallery model:
     same verdict, strictly fewer total states."""
@@ -53,9 +65,7 @@ def test_gallery_dual_island_sum_beats_product(benchmark):
     )
 
     def composed_run():
-        return analyze_compositionally(
-            dual_island(), workers=1, max_states=MAX_STATES, reduction="none"
-        )
+        return _compose(dual_island())
 
     composed = benchmark.pedantic(composed_run, rounds=1, iterations=1)
 
@@ -73,7 +83,7 @@ def test_gallery_dual_island_sum_beats_product(benchmark):
              composed.num_states),
         ]
         + [
-            (f"  {o.island.label}", o.verdict.value, o.states)
+            (f"  {o.island.label}", o.verdict.value, o.num_states)
             for o in composed.outcomes
         ],
     )
@@ -88,12 +98,7 @@ def test_island_count_sweep():
         monolithic = analyze_model(
             _system(n_islands), max_states=MAX_STATES, reduction="none"
         )
-        composed = analyze_compositionally(
-            _system(n_islands),
-            workers=1,
-            max_states=MAX_STATES,
-            reduction="none",
-        )
+        composed = _compose(_system(n_islands))
         assert composed.compositional
         assert composed.verdict is monolithic.verdict
         # multiprocessor_system adds an unconnected sink processor, so

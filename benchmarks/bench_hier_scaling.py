@@ -17,9 +17,9 @@ import time
 
 import pytest
 
+from repro.aadl import format_model
 from repro.aadl.builder import SystemBuilder
-from repro.analysis import Verdict
-from repro.compose import analyze_compositionally
+from repro.analysis import AnalysisRequest, Verdict, analyze
 from repro.hier import analyze_hier
 
 from conftest import print_table
@@ -79,7 +79,14 @@ def test_interface_beats_island_exploration(benchmark, n_partitions):
     dedicated = dedicated_model(n_partitions)
 
     started = time.perf_counter()
-    island = analyze_compositionally(dedicated, workers=1)
+    island = analyze(
+        AnalysisRequest(
+            source=format_model(dedicated.declarative),
+            decomposition="compose",
+        ),
+        model=dedicated.declarative,
+        workers=1,
+    )
     island_elapsed = time.perf_counter() - started
 
     result = benchmark.pedantic(

@@ -14,7 +14,8 @@ import time
 
 import numpy as np
 
-from repro.analysis import Verdict, analyze_all_modes
+from repro.aadl import format_model
+from repro.analysis import AnalysisRequest, Verdict, analyze
 from repro.workloads import faulty_modal_system
 
 from conftest import print_table
@@ -34,25 +35,29 @@ def eight_mode_model():
     )
 
 
+def _all_modes(model, **fan_out):
+    """Every reachable mode of ``model``, one per-mode job each."""
+    request = AnalysisRequest(
+        source=format_model(model), root="FaultyModal.impl", modes="all"
+    )
+    return analyze(request, model=model, **fan_out)
+
+
 def test_parallel_cached_fanout_beats_serial_loop(benchmark, tmp_path):
     model = eight_mode_model()
     cache = str(tmp_path / "cache")
 
     started = time.perf_counter()
-    serial = analyze_all_modes(model, "FaultyModal.impl")
+    serial = _all_modes(model)
     serial_elapsed = time.perf_counter() - started
     assert len(serial.per_mode) == N_MODES
 
     # Cold pooled run populates the mode-keyed verdict cache.
-    cold = analyze_all_modes(
-        model, "FaultyModal.impl", workers=4, cache=cache
-    )
+    cold = _all_modes(model, workers=4, cache=cache)
     assert not any(o.cached for o in cold.per_mode.values())
 
     def warm_run():
-        return analyze_all_modes(
-            model, "FaultyModal.impl", workers=4, cache=cache
-        )
+        return _all_modes(model, workers=4, cache=cache)
 
     warm = benchmark.pedantic(warm_run, rounds=3, iterations=1)
     started = time.perf_counter()
@@ -96,11 +101,8 @@ def test_cold_pool_matches_serial_verdicts(tmp_path):
     """Determinism across execution shapes: --jobs N with a cold cache
     must reproduce the serial per-mode verdicts exactly."""
     model = eight_mode_model()
-    serial = analyze_all_modes(model, "FaultyModal.impl")
-    pooled = analyze_all_modes(
-        model, "FaultyModal.impl",
-        workers=4, cache=str(tmp_path / "cold"),
-    )
+    serial = _all_modes(model)
+    pooled = _all_modes(model, workers=4, cache=str(tmp_path / "cold"))
     assert list(pooled.per_mode) == list(serial.per_mode)
     assert {
         mode: o.verdict for mode, o in pooled.per_mode.items()

@@ -5,8 +5,8 @@ AADL systems can reconfigure at runtime: "a failure in one of the
 components can cause a switch to a recovery mode, in which the failed
 component is inactive and its connections are re-routed."  The paper
 models modes but omits them from the translation; this library analyzes
-each system operation mode as its own completely-bound system
-(`analyze_all_modes`), so a mode that only becomes overloaded under
+each system operation mode as its own completely-bound system (an
+`AnalysisRequest` with `modes="all"`, the `--all-modes` flag), so a mode that only becomes overloaded under
 reconfiguration is caught before deployment.
 
 The model: a flight-data system with a `nominal` mode (primary filter +
@@ -17,8 +17,7 @@ degraded mode unschedulable -- detected mode-by-mode.
 Run:  python examples/multi_modal.py
 """
 
-from repro.aadl import parse_model
-from repro.analysis import analyze_all_modes
+from repro.analysis import AnalysisRequest, analyze
 
 MODEL = """
 processor CPU
@@ -83,8 +82,9 @@ end FlightData.impl;
 
 
 def main() -> None:
-    model = parse_model(MODEL)
-    result = analyze_all_modes(model, "FlightData.impl")
+    result = analyze(
+        AnalysisRequest(source=MODEL, root="FlightData.impl", modes="all")
+    )
     print(result.format())
     print()
     print(

@@ -415,6 +415,15 @@ class SystemInstance(ComponentInstance):
             if conn.source.component is instance
         ]
 
+    def partitioned(self) -> bool:
+        """True when any thread executes inside a virtual-processor
+        partition rather than directly on its host."""
+        return any(
+            thread.bound_processor is not None
+            and thread.bound_processor is not thread.host_processor
+            for thread in self.threads()
+        )
+
     def shared_data_of(
         self, instance: ComponentInstance
     ) -> List[ComponentInstance]:

@@ -82,24 +82,22 @@ _TOKEN_RE = re.compile(
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"[^"\n]*")
-  | (?P<op>::|\.\.|->|-\[|\]->|[=>(){};:,.])
+  | (?P<op>::|\.\.|->|-\[|\]->|=>|[=>(){};:,.])
     """,
     re.VERBOSE,
 )
 
 
 class _Token:
-    __slots__ = ("kind", "text", "line", "column")
+    __slots__ = ("kind", "text", "lower", "line", "column")
 
     def __init__(self, kind: str, text: str, line: int, column: int) -> None:
         self.kind = kind
         self.text = text
+        #: ``text`` lower-cased once: keywords match case-insensitively
+        self.lower = text.lower()
         self.line = line
         self.column = column
-
-    @property
-    def lower(self) -> str:
-        return self.text.lower()
 
     def __repr__(self) -> str:
         return f"_Token({self.kind}, {self.text!r})"
@@ -117,10 +115,7 @@ def _tokenize(text: str) -> List[_Token]:
             raise AadlSyntaxError(f"unexpected character {text[pos]!r}", line, col)
         if match.lastgroup != "ws":
             col = match.start() - line_start + 1
-            kind = match.lastgroup
-            tok_text = match.group()
-            # '=>' is tokenized as '=' '>' only if regex missed; ensure combined
-            tokens.append(_Token(kind, tok_text, line, col))  # type: ignore[arg-type]
+            tokens.append(_Token(match.lastgroup, match.group(), line, col))
         newlines = match.group().count("\n")
         if newlines:
             line += newlines
@@ -132,7 +127,7 @@ def _tokenize(text: str) -> List[_Token]:
 
 class _Parser:
     def __init__(self, text: str) -> None:
-        self.tokens = _merge_arrows(_tokenize(text))
+        self.tokens = _tokenize(text)
         self.index = 0
 
     def peek(self, offset: int = 0) -> _Token:
@@ -149,22 +144,24 @@ class _Parser:
         token = self.peek()
         return AadlSyntaxError(message, token.line, token.column)
 
+    # ``text`` in expect / accept / at is a lower-case keyword or operator.
+
     def expect(self, text: str) -> _Token:
         token = self.peek()
-        if token.lower != text.lower():
+        if token.lower != text:
             raise self.error(
                 f"expected {text!r}, found {token.text or '<eof>'!r}"
             )
         return self.advance()
 
     def accept(self, text: str) -> bool:
-        if self.peek().lower == text.lower():
+        if self.peek().lower == text:
             self.advance()
             return True
         return False
 
     def at(self, text: str) -> bool:
-        return self.peek().lower == text.lower()
+        return self.peek().lower == text
 
     def expect_ident(self) -> str:
         token = self.peek()
@@ -502,27 +499,6 @@ def _typed_enum(prop_name: str, text: str):
     if text.lower() == "false":
         return False
     return text
-
-
-def _merge_arrows(tokens: List[_Token]) -> List[_Token]:
-    """Combine '=' '>' into '=>' (regex keeps them separate)."""
-    merged: List[_Token] = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if (
-            tok.text == "="
-            and i + 1 < len(tokens)
-            and tokens[i + 1].text == ">"
-            and tokens[i + 1].column == tok.column + 1
-            and tokens[i + 1].line == tok.line
-        ):
-            merged.append(_Token("op", "=>", tok.line, tok.column))
-            i += 2
-            continue
-        merged.append(tok)
-        i += 1
-    return merged
 
 
 def parse_model(text: str) -> DeclarativeModel:

@@ -30,50 +30,16 @@ builds on this module for its steady half.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import AnalysisError
 from repro.aadl.components import DeclarativeModel
-from repro.aadl.properties import TimeValue
+from repro.analysis.request import AnalysisRequest
 from repro.analysis.schedulability import Verdict
-from repro.engine.reduce import DEFAULT_REDUCTION
 from repro.engine.stats import EngineStats
 
-
-@dataclasses.dataclass
-class ModeOutcome:
-    """One steady mode's verdict, from the mode's batch
-    :class:`~repro.batch.jobs.JobResult`.  A job that ran in this
-    process keeps its live result, so ``scenario`` and ``decided_by``
-    are set; a pooled or cached one carries only the worker's formatted
-    report in ``rendered``."""
-
-    mode: str
-    verdict: Verdict
-    num_states: int = 0
-    scenario: Any = None
-    decided_by: Optional[str] = None
-    stats: Any = None
-    cached: bool = False
-    rendered: Optional[str] = None
-
-    @classmethod
-    def from_job(cls, mode: str, result) -> "ModeOutcome":
-        if result.verdict == "error":
-            raise AnalysisError(f"mode {mode}: {result.error}")
-        return cls(
-            mode=mode,
-            verdict=Verdict(result.verdict),
-            num_states=result.states,
-            scenario=getattr(result.analysis, "scenario", None),
-            decided_by=getattr(result.analysis, "decided_by", None),
-            stats=result.stats and EngineStats.from_dict(result.stats),
-            cached=result.cached,
-            rendered=result.rendered,
-        )
-
-    def __repr__(self) -> str:
-        return f"ModeOutcome({self.mode!r}, {self.verdict.value})"
+if TYPE_CHECKING:
+    from repro.batch.pool import JobOutcome
 
 
 class ModalAnalysisResult:
@@ -81,7 +47,7 @@ class ModalAnalysisResult:
 
     def __init__(
         self,
-        per_mode: Dict[str, ModeOutcome],
+        per_mode: Dict[str, "JobOutcome"],
         unreachable_modes: tuple = (),
         cache_misses: Optional[int] = None,
     ) -> None:
@@ -156,28 +122,19 @@ class ModalAnalysisResult:
 
 def analyze_all_modes(
     model: DeclarativeModel,
-    root_impl: str,
+    request: AnalysisRequest,
     *,
-    quantum: Optional[TimeValue] = None,
-    max_states: int = 1_000_000,
-    portfolio: bool = False,
-    tiers: Optional[str] = None,
-    reduction: Optional[str] = DEFAULT_REDUCTION,
     workers: Optional[int] = None,
     cache=None,
     progress=None,
-    decomposition: Optional[str] = None,
-    max_window: Optional[int] = None,
-    fault: Optional[str] = None,
 ) -> ModalAnalysisResult:
-    """Analyze every reachable mode of ``root_impl`` as a separate
-    bound system.
+    """Analyze every reachable mode of ``request.root`` in ``model``
+    (the model ``request.source`` denotes) as a separate bound system.
 
-    Each mode is one pinned-mode :class:`~repro.analysis.request.
-    AnalysisRequest` -- ``portfolio`` (``tiers`` optionally naming the
-    chain), ``reduction``, ``decomposition`` (``"compose"`` or
-    ``"hier"``), ``max_window`` and ``fault`` ride in it -- and one
-    :func:`repro.batch.run_batch` job.  With ``workers`` and ``cache``
+    Each mode is one :func:`repro.batch.run_batch` job whose request is
+    ``replace(request, modes=None, mode=m)``, so the portfolio tiers,
+    reduction, decomposition, ``max_window`` and ``fault`` of the
+    parent request ride in every child.  With ``workers`` and ``cache``
     both None the jobs run inline, on ``model`` itself; otherwise they
     fan out through the pool, with persistent, mode-keyed verdict
     caching.  Raises :class:`AnalysisError` when the root implementation
@@ -185,34 +142,21 @@ def analyze_all_modes(
     :func:`~repro.analysis.schedulability.analyze_model` directly in
     that case).
     """
-    from repro.aadl.printer import format_model
-    from repro.analysis.request import DEFAULT_TIERS, AnalysisRequest
     from repro.batch import AnalysisJob, run_batch
+    from repro.batch.pool import JobOutcome
     from repro.modal.automaton import ModeAutomaton
 
-    impl = model.implementation(root_impl)
+    impl = model.implementation(request.root)
     if not impl.modes:
         raise AnalysisError(
-            f"{root_impl} declares no modes; use analyze_model instead"
+            f"{request.root} declares no modes; use analyze_model instead"
         )
     automaton = ModeAutomaton.from_implementation(model, impl)
     reachable = {m.lower() for m in automaton.reachable_modes()}
     modes = [m for m in automaton.modes if m.lower() in reachable]
-    source = format_model(model)
     jobs = [
         AnalysisJob.from_request(
-            AnalysisRequest(
-                source=source,
-                root=impl.name,
-                mode=mode,
-                quantum_ps=None if quantum is None else quantum.picoseconds,
-                max_states=max_states,
-                decomposition=decomposition,
-                tiers=(tiers or DEFAULT_TIERS) if portfolio else None,
-                reduce=reduction,
-                max_window=max_window,
-                fault=fault,
-            ),
+            dataclasses.replace(request, modes=None, mode=mode),
             job_id=f"mode:{mode}",
             model=model,
         )
@@ -222,11 +166,13 @@ def analyze_all_modes(
     report = run_batch(
         jobs, workers=1 if inline else workers, cache=cache, progress=progress
     )
+    per_mode = {}
+    for mode, result in zip(modes, report.results):
+        if result.verdict == "error":
+            raise AnalysisError(f"mode {mode}: {result.error}")
+        per_mode[mode] = JobOutcome.from_job(result, mode=mode)
     return ModalAnalysisResult(
-        {
-            mode: ModeOutcome.from_job(mode, result)
-            for mode, result in zip(modes, report.results)
-        },
+        per_mode,
         automaton.unreachable_modes(),
         cache_misses=report.stats.counters.get("batch.verdict_cache_misses"),
     )

@@ -13,13 +13,17 @@ and :func:`analyze` runs it through the layers in one fixed order:
 3. **mode selection** -- ``modes="modal"`` hands the model to
    :func:`repro.modal.analyze_modal` (steady modes plus transitions),
    ``modes="all"`` to :func:`repro.analysis.modes.analyze_all_modes`,
-   which fans one pinned-mode request per reachable mode back through
-   this planner; ``mode`` pins one steady mode;
+   which fans ``replace(request, modes=None, mode=m)`` per reachable
+   mode back through this planner; ``mode`` pins one steady mode.
+   Everything past this step is :func:`analyze_configuration`, on the
+   system instantiated once (in the pinned mode, if any);
 4. **island slice** -- one processor island of a compositional run
    (:func:`repro.compose.runner.analyze_island`);
 5. **decomposition** -- ``"compose"``
-   (:func:`repro.compose.analyze_compositionally`) or ``"hier"``
-   (:func:`repro.hier.analyze_hier`);
+   (:func:`repro.compose.analyze_compositionally`, whose island jobs
+   are ``replace(request, decomposition=None, tiers=None, island=...,
+   quantum_ps=...)`` and whose monolithic fallback is step 6 on the
+   same instance) or ``"hier"`` (:func:`repro.hier.analyze_hier`);
 6. **portfolio and reduction** -- :func:`repro.portfolio.
    analyze_portfolio` when ``tiers`` is set, else
    :func:`~repro.analysis.schedulability.analyze_model`; both apply the
@@ -211,6 +215,21 @@ class AnalysisRequest:
             )
         return None
 
+    @property
+    def quantum(self):
+        """``quantum_ps`` as a :class:`~repro.aadl.properties.TimeValue`
+        (None: the natural quantum).  Reports print it as given: whole
+        microseconds (the CLI's unit) as such; an island's, taken from
+        the full model's quantizer, in picoseconds."""
+        from repro.aadl.properties import TimeValue
+
+        if self.quantum_ps is None:
+            return None
+        us, rest = divmod(self.quantum_ps, 1_000_000)
+        if rest or self.island is not None:
+            return TimeValue(self.quantum_ps, "ps")
+        return TimeValue(us, "us")
+
     def to_dict(self) -> Dict[str, Any]:
         """The canonical JSON form: fields at their default are left out."""
         data: Dict[str, Any] = {"source": self.source}
@@ -255,33 +274,16 @@ def analyze(
     ``model`` is the parsed ``request.source`` when the caller already
     has it.  ``workers`` / ``cache`` / ``progress`` reach the layers
     that fan out through :func:`repro.batch.run_batch` (per-mode and
-    per-island jobs); they never change the verdict.
+    per-island jobs); they never change the verdict.  A fan-out's
+    children are ``dataclasses.replace`` copies of the request it is
+    handed, which carries the printed model and the resolved root.
     """
-    from repro.aadl import infer_root, parse_model
-    from repro.aadl.properties import TimeValue
+    from repro.aadl import format_model, infer_root, instantiate, parse_model
 
     if model is None:
         model = parse_model(request.source)
     root = request.root or infer_root(model)
-    quantum = None
-    if request.quantum_ps is not None:
-        # Reports print the quantum as given: whole microseconds (the
-        # CLI's unit) as such; an island's, taken from the full model's
-        # quantizer, in picoseconds.
-        us, rest = divmod(request.quantum_ps, 1_000_000)
-        if rest or request.island is not None:
-            quantum = TimeValue(request.quantum_ps, "ps")
-        else:
-            quantum = TimeValue(us, "us")
-    shared = dict(
-        quantum=quantum,
-        max_states=request.max_states,
-        portfolio=request.tiers is not None,
-        reduction=request.reduce,
-        workers=workers,
-        cache=cache,
-        progress=progress,
-    )
+    fan_out = dict(workers=workers, cache=cache, progress=progress)
     if request.modes == "modal":
         from repro.modal import analyze_modal
         from repro.modal.transient import (
@@ -293,63 +295,56 @@ def analyze(
             model,
             root,
             protocol=request.protocol,
+            quantum=request.quantum,
+            max_states=request.max_states,
+            portfolio=request.tiers is not None,
             tiers=request.tiers,
+            reduction=request.reduce,
             max_phasings=request.max_phasings or DEFAULT_MAX_PHASINGS,
             max_window=request.max_window or DEFAULT_TRANSIENT_WINDOW,
             fault=request.fault,
-            **shared,
+            **fan_out,
+        )
+    if request.modes == "all" or request.decomposition == "compose":
+        request = dataclasses.replace(
+            request, source=format_model(model), root=root
         )
     if request.modes == "all":
         from repro.analysis.modes import analyze_all_modes
 
-        return analyze_all_modes(
-            model,
-            root,
-            tiers=request.tiers,
-            decomposition=request.decomposition,
-            max_window=request.max_window,
-            fault=request.fault,
-            **shared,
-        )
+        return analyze_all_modes(model, request, **fan_out)
     if request.mode is None:
-        return _analyze_configuration(request, model, root, shared)
+        return analyze_configuration(
+            request, instantiate(model, root), **fan_out
+        )
     from repro.obs.tracer import current_tracer
 
     with current_tracer().span("modal.steady", mode=request.mode) as span:
-        result = _analyze_configuration(request, model, root, shared)
+        instance = instantiate(
+            model, root, mode_overrides={root: request.mode}
+        )
+        result = analyze_configuration(request, instance, **fan_out)
         span.set(verdict=result.verdict.value)
     return result
 
 
-def _analyze_configuration(request, model, root, shared):
-    """Steps 4-6 of the planner, for one (possibly mode-pinned) system."""
-    from repro.aadl import instantiate
-    from repro.translate.quantum import TimingQuantizer
-
+def analyze_configuration(request: AnalysisRequest, instance, **fan_out):
+    """Steps 4-6 of the planner, for ``instance``: the request's system
+    instantiated (in its pinned mode, if any).  ``fan_out`` is the
+    ``workers`` / ``cache`` / ``progress`` of a compose run."""
     steady = request.mode is not None
-    if request.decomposition == "compose":
-        from repro.compose import analyze_compositionally
-
-        return analyze_compositionally(
-            model, root_impl=root, mode=request.mode, **shared
-        )
-    instance = instantiate(
-        model, root, mode_overrides={root: request.mode} if steady else None
-    )
-    quantum = shared["quantum"]
     if request.island is not None:
         from repro.compose.runner import analyze_island
 
-        return analyze_island(
-            instance,
-            request.island,
-            quantum=quantum,
-            max_states=request.max_states,
-            reduction=request.reduce,
-            steady_mode=steady,
-        )
+        return analyze_island(instance, request)
+    if request.decomposition == "compose":
+        from repro.compose import analyze_compositionally
+
+        return analyze_compositionally(instance, request, **fan_out)
+    quantum = request.quantum
     if request.decomposition == "hier":
         from repro.hier import DEFAULT_MAX_WINDOW, analyze_hier
+        from repro.translate.quantum import TimingQuantizer
 
         return analyze_hier(
             instance,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from typing import Iterable, Optional, Union
 
-from repro.errors import ExplorationLimitError
+from repro.errors import AnalysisError, ExplorationLimitError
 from repro.engine.budget import Budget
 from repro.engine.core import explore
 from repro.engine.observers import Observer
@@ -191,7 +191,9 @@ def analyze_model(
     search: the same translation is explored once more without the
     reduction, under the same budget, up to its first deadlock, and the
     scenario comes from that search (see :func:`_unreduced_witness`).
-    The result's stats count both searches.
+    The result's stats count both searches.  When that search completes
+    without a deadlock the reduction was unsound, and
+    :class:`~repro.errors.AnalysisError` is raised.
     """
     if portfolio:
         # Imported lazily: repro.portfolio imports this module.
@@ -290,9 +292,12 @@ def _unreduced_witness(
     the reduction.  Exploring the translation again without it, up to
     its first deadlock, gives the scenario an unreduced run reports.
     When that search exhausts ``budget`` first, the reduced witness
-    stands: every reduced path is a real path of the system.  The
-    verdict is the reduced search's either way; the returned result's
-    stats and elapsed time count both searches.
+    stands: a sound reduction's paths are real paths of the system.
+    When it covers the whole space without a deadlock, it refutes the
+    reduced witness -- the reduction was unsound -- and
+    :class:`~repro.errors.AnalysisError` is raised rather than either
+    verdict.  The returned result's stats and elapsed time count both
+    searches.
     """
     plain = explore(
         translation.system,
@@ -300,6 +305,12 @@ def _unreduced_witness(
         budget=budget,
         stop_at_first_deadlock=True,
     )
+    if plain.completed and not plain.deadlock_states:
+        raise AnalysisError(
+            f"the reduced search's deadlock is refuted by the unreduced "
+            f"search, which covered all {plain.num_states} states without "
+            f"one: the reduction is unsound for this model"
+        )
     witness = plain if plain.deadlock_states else reduced
     witness.stats = EngineStats.aggregate(
         (reduced.stats, plain.stats), strategy=plain.stats.strategy

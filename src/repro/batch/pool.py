@@ -39,12 +39,14 @@ boundary, which keeps the pool working under both ``fork`` and
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.analysis.schedulability import Verdict
 from repro.engine.stats import EngineStats
 from repro.errors import BatchError, ReproError
 from repro.batch.cache import VerdictCache, cache_key, resolve_cache
@@ -169,6 +171,52 @@ def _run_pool(
             finish(index, JobResult.failed(jobs[index], WORKER_DIED))
         else:
             finish(index, JobResult.from_dict(data))
+
+
+@dataclasses.dataclass
+class JobOutcome:
+    """One child verdict of a fan-out -- a ``mode`` of an all-modes run
+    or an ``island`` of a composition -- as a thin view of the batch
+    :class:`~repro.batch.jobs.JobResult` that produced it.  A job that
+    ran in this process keeps its live result, so ``scenario`` and
+    ``decided_by`` are set; a pooled or cached one carries only the
+    worker's formatted report in ``rendered``.  A job that failed keeps
+    its ``error`` and reads UNKNOWN."""
+
+    verdict: Verdict
+    num_states: int = 0
+    elapsed: float = 0.0
+    scenario: Any = None
+    decided_by: Optional[str] = None
+    stats: Optional[EngineStats] = None
+    cached: bool = False
+    rendered: Optional[str] = None
+    error: Optional[str] = None
+    mode: Optional[str] = None
+    island: Any = None
+
+    @classmethod
+    def from_job(cls, result: JobResult, **child: Any) -> "JobOutcome":
+        """The outcome of ``result``; ``child`` names the mode or island."""
+        return cls(
+            verdict=Verdict(result.verdict)
+            if result.verdict in Verdict._value2member_map_
+            else Verdict.UNKNOWN,
+            num_states=result.states,
+            elapsed=result.elapsed,
+            scenario=getattr(result.analysis, "scenario", None),
+            decided_by=getattr(result.analysis, "decided_by", None),
+            stats=result.stats and EngineStats.from_dict(result.stats),
+            cached=result.cached,
+            rendered=result.rendered,
+            error=result.error,
+            **child,
+        )
+
+    def __repr__(self) -> str:
+        child = self.mode if self.island is None else self.island.label
+        extra = " cached" if self.cached else ""
+        return f"JobOutcome({child!r}, {self.verdict.value}{extra})"
 
 
 def fold_stats(

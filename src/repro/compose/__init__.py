@@ -27,11 +27,7 @@ relation in :mod:`repro.oracle.request`.
 See ``docs/compose.md``.
 """
 
-from repro.compose.combiner import (
-    CompositionResult,
-    IslandOutcome,
-    combine_outcomes,
-)
+from repro.compose.combiner import CompositionResult, combine_outcomes
 from repro.compose.coupling import (
     CouplingEdge,
     CouplingGraph,
@@ -48,7 +44,6 @@ __all__ = [
     "CouplingEdge",
     "CouplingGraph",
     "Island",
-    "IslandOutcome",
     "Partition",
     "analyze_compositionally",
     "build_coupling_graph",

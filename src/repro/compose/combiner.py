@@ -19,54 +19,10 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.analysis.schedulability import Verdict
-from repro.batch.pool import fold_stats
-from repro.compose.coupling import Island, Partition
+from repro.batch.pool import JobOutcome, fold_stats
+from repro.compose.coupling import Partition
 from repro.engine.stats import EngineStats
 from repro.errors import ComposeError
-
-
-class IslandOutcome:
-    """One island's analysis outcome (a thin, JSON-friendly view of the
-    batch :class:`~repro.batch.jobs.JobResult` that produced it)."""
-
-    __slots__ = (
-        "island",
-        "verdict",
-        "states",
-        "elapsed",
-        "stats",
-        "rendered",
-        "cached",
-        "error",
-    )
-
-    def __init__(
-        self,
-        *,
-        island: Island,
-        verdict: Verdict,
-        states: int,
-        elapsed: float,
-        stats: Optional[EngineStats] = None,
-        rendered: Optional[str] = None,
-        cached: bool = False,
-        error: Optional[str] = None,
-    ) -> None:
-        self.island = island
-        self.verdict = verdict
-        self.states = states
-        self.elapsed = elapsed
-        self.stats = stats
-        self.rendered = rendered
-        self.cached = cached
-        self.error = error
-
-    def __repr__(self) -> str:
-        extra = " cached" if self.cached else ""
-        return (
-            f"IslandOutcome({self.island.label!r}, "
-            f"{self.verdict.value}{extra})"
-        )
 
 
 class CompositionResult:
@@ -84,7 +40,7 @@ class CompositionResult:
         partition: Partition,
         mode: str,
         verdict: Verdict,
-        outcomes: Optional[List[IslandOutcome]] = None,
+        outcomes: Optional[List[JobOutcome]] = None,
         monolithic=None,
         fallback_reason: Optional[str] = None,
         cache_misses: Optional[int] = None,
@@ -103,10 +59,22 @@ class CompositionResult:
         return self.mode == "compositional"
 
     @property
+    def decided_by(self) -> Optional[str]:
+        """The fallback's deciding tier, as the monolithic result names
+        it (None for a composition)."""
+        return getattr(self.monolithic, "decided_by", None)
+
+    @property
+    def scenario(self):
+        """The fallback's failing scenario (a composition renders its
+        culprit island instead)."""
+        return getattr(self.monolithic, "scenario", None)
+
+    @property
     def num_states(self) -> int:
         """States explored: sum over islands, or the monolithic count."""
         if self.compositional:
-            return sum(outcome.states for outcome in self.outcomes)
+            return sum(outcome.num_states for outcome in self.outcomes)
         return self.monolithic.num_states if self.monolithic else 0
 
     @property
@@ -132,7 +100,7 @@ class CompositionResult:
             cached = " [cached]" if outcome.cached else ""
             lines.append(
                 f"  {outcome.island.label}: {outcome.verdict.value}, "
-                f"{outcome.states} states "
+                f"{outcome.num_states} states "
                 f"({outcome.elapsed:.3f}s){cached}"
             )
         lines.append(f"verdict: {self.verdict.value}")
@@ -146,7 +114,7 @@ class CompositionResult:
                 lines.append(f"  {line}")
         return "\n".join(lines)
 
-    def first_unschedulable(self) -> Optional[IslandOutcome]:
+    def first_unschedulable(self) -> Optional[JobOutcome]:
         for outcome in self.outcomes:
             if outcome.verdict is Verdict.UNSCHEDULABLE:
                 return outcome
@@ -162,7 +130,7 @@ class CompositionResult:
 
 def combine_outcomes(
     partition: Partition,
-    outcomes: List[IslandOutcome],
+    outcomes: List[JobOutcome],
     *,
     cache_misses: Optional[int] = None,
 ) -> CompositionResult:

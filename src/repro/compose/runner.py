@@ -21,56 +21,24 @@ monolithic one, which is what the request oracle relation
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+import dataclasses
+from typing import Optional
 
-from repro.aadl.components import DeclarativeModel
-from repro.aadl.instance import SystemInstance, instantiate
-from repro.aadl.printer import format_model
-from repro.aadl.properties import TimeValue
+from repro.aadl.instance import SystemInstance
 from repro.analysis.request import AnalysisRequest, IslandSpec
-from repro.analysis.schedulability import (
-    AnalysisResult,
-    Verdict,
-    analyze_model,
-)
-from repro.batch.jobs import AnalysisJob, JobResult
-from repro.batch.pool import run_batch
-from repro.compose.combiner import (
-    CompositionResult,
-    IslandOutcome,
-    combine_outcomes,
-)
+from repro.analysis.schedulability import AnalysisResult, analyze_model
+from repro.batch.jobs import AnalysisJob
+from repro.batch.pool import JobOutcome, ProgressFn, run_batch
+from repro.compose.combiner import CompositionResult, combine_outcomes
 from repro.compose.coupling import Partition, partition_instance
-from repro.engine.reduce import DEFAULT_REDUCTION, reduction_token
-from repro.engine.stats import EngineStats
 from repro.translate.quantum import TimingQuantizer
 
-ProgressFn = Callable[[int, int, JobResult], None]
-
-
-def _resolve(
-    model: Union[SystemInstance, DeclarativeModel],
-    root_impl: Optional[str],
-) -> SystemInstance:
-    if isinstance(model, DeclarativeModel):
-        if root_impl is None:
-            raise ValueError(
-                "root_impl is required when passing a declarative model"
-            )
-        return instantiate(model, root_impl)
-    return model
-
-
 def plan(
-    model: Union[SystemInstance, DeclarativeModel],
-    *,
-    root_impl: Optional[str] = None,
-    steady_mode: bool = False,
+    instance: SystemInstance, *, steady_mode: bool = False
 ) -> Partition:
     """Partition without analyzing (the ``repro compose plan`` command)."""
     from repro.obs.tracer import current_tracer
 
-    instance = _resolve(model, root_impl)
     with current_tracer().span("compose.partition") as span:
         partition = partition_instance(instance, steady_mode=steady_mode)
         span.set(
@@ -83,89 +51,51 @@ def plan(
 
 
 def analyze_compositionally(
-    model: Union[SystemInstance, DeclarativeModel],
+    instance: SystemInstance,
+    request: AnalysisRequest,
     *,
-    root_impl: Optional[str] = None,
-    mode: Optional[str] = None,
-    quantum: Optional[TimeValue] = None,
-    max_states: int = 1_000_000,
     workers: Optional[int] = None,
     cache=None,
     progress: Optional[ProgressFn] = None,
-    portfolio: bool = False,
-    reduction: Union[str, None] = DEFAULT_REDUCTION,
 ) -> CompositionResult:
-    """Analyze ``model`` island by island when that is sound, falling
-    back to :func:`~repro.analysis.analyze_model` (with the reason
+    """Analyze ``instance`` -- ``request``'s system, instantiated in its
+    pinned mode if any -- island by island when that is sound, and as
+    one system (the planner's :func:`~repro.analysis.request.
+    analyze_configuration` on the same instance, with the reason
     recorded on the result) when it is not.
 
-    ``workers``/``cache``/``progress`` are forwarded to
-    :func:`repro.batch.pool.run_batch`; each island is one batch job,
-    so island verdicts cache independently.
+    Each island is one :func:`repro.batch.run_batch` job, forwarded
+    ``workers`` / ``cache`` / ``progress``, whose request is
+    ``replace(request, decomposition=None, tiers=None, island=...,
+    quantum_ps=...)``: the reduction spec and the pinned mode ride in
+    every island's cache key, and the island re-instantiates the same
+    mode in its worker.  A pinned mode waives the multi-modal
+    decomposition bar -- the verdict claimed is for that mode only.
 
-    ``portfolio`` screens every island through the analytic tiers
+    ``request.tiers`` screens every island through the analytic tiers
     *before* the fan-out: islands the tiers decide (microseconds,
     in-process) never spawn an exploration job, and only the undecided
     remainder ships to the pool -- as ordinary island jobs, so their
     cache entries are shared with non-portfolio compose runs.  The
-    monolithic fallback likewise routes through the portfolio.
-
-    ``reduction`` (a ``"sym,por"``-style spec) is forwarded to every
-    island job and to the monolithic fallback; the spec rides in each
-    job's request, so reduced and unreduced runs never share verdict
-    cache entries.
-
-    ``mode`` pins a multi-modal root to one steady mode (requires a
-    declarative ``model``): the multi-modal decomposition bar is
-    waived -- the verdict claimed is for that mode only -- and every
-    island job re-instantiates the same mode in its worker, with the
-    mode name riding in each job's cache key.
+    fallback keeps the tiers, and routes a partitioned instance through
+    them even without, so that it escalates to the hierarchical
+    analysis rather than the ACSR translation.
     """
+    from repro.analysis.request import DEFAULT_TIERS, analyze_configuration
     from repro.obs.tracer import current_tracer
 
     tracer = current_tracer()
-    reduce_token = reduction_token(reduction)
-    steady = mode is not None
-    if steady:
-        if not isinstance(model, DeclarativeModel):
-            raise ValueError(
-                "mode= requires a declarative model (the pinned mode "
-                "must be re-instantiable in the pool workers)"
-            )
-        if root_impl is None:
-            raise ValueError(
-                "root_impl is required when passing a declarative model"
-            )
-        impl = model.implementation(root_impl)
-        instance = instantiate(
-            model, root_impl, mode_overrides={impl.name: mode}
-        )
-    else:
-        instance = _resolve(model, root_impl)
+    steady = request.mode is not None
     partition = plan(instance, steady_mode=steady)
 
     if not partition.decomposable:
-        if _is_partitioned(instance):
-            # Exploration cannot express server supply; the portfolio
-            # screens analytically and escalates to the hierarchical
-            # (BDR) analysis instead of the ACSR translation.
-            from repro.portfolio import analyze_portfolio
-
-            monolithic = analyze_portfolio(
-                instance,
-                quantum=quantum,
-                max_states=max_states,
-                reduction=reduce_token,
-                steady_mode=steady,
-            )
-        else:
-            monolithic = analyze_model(
-                instance,
-                quantum=quantum,
-                max_states=max_states,
-                portfolio=portfolio,
-                reduction=reduce_token,
-            )
+        tiers = request.tiers
+        if tiers is None and instance.partitioned():
+            tiers = DEFAULT_TIERS
+        monolithic = analyze_configuration(
+            dataclasses.replace(request, decomposition=None, tiers=tiers),
+            instance,
+        )
         return CompositionResult(
             partition=partition,
             mode="monolithic-fallback",
@@ -176,88 +106,56 @@ def analyze_compositionally(
 
     # Pin every island to the full model's quantum (see module docstring).
     pinned_quantizer = (
-        TimingQuantizer(quantum)
-        if quantum is not None
+        TimingQuantizer(request.quantum)
+        if request.quantum_ps is not None
         else TimingQuantizer.natural(instance)
     )
-    quantum_ps = pinned_quantizer.quantum.picoseconds
 
-    analytic: dict = {}
-    pending_islands = list(partition.islands)
-    if portfolio:
-        analytic = _screen_islands(
+    outcomes: dict = {}
+    if request.tiers is not None:
+        outcomes = _screen_islands(
             instance, partition, pinned_quantizer, steady_mode=steady
         )
-        pending_islands = [
-            island
-            for island in partition.islands
-            if island.label not in analytic
-        ]
-
-    model = instance.declarative
-    source = format_model(model)
-    root = instance.impl.name if instance.impl is not None else None
+    pending_islands = [
+        island for island in partition.islands if island.label not in outcomes
+    ]
     jobs = [
         AnalysisJob.from_request(
-            AnalysisRequest(
-                source=source,
-                root=root,
-                mode=mode,
-                quantum_ps=quantum_ps,
-                max_states=max_states,
-                reduce=reduce_token,
+            dataclasses.replace(
+                request,
+                decomposition=None,
+                tiers=None,
                 island=IslandSpec(
                     island.label,
                     tuple(t.qualified_name for t in island.threads),
                     tuple(p.qualified_name for p in island.processors),
                 ),
+                quantum_ps=pinned_quantizer.quantum.picoseconds,
             ),
             job_id=island.label,
-            model=model,
+            model=instance.declarative,
         )
         for island in pending_islands
     ]
-    explored: dict = {}
     misses = None
     if jobs:
         report = run_batch(
             jobs, workers=workers, cache=cache, progress=progress
         )
-        explored = {
-            island.label: result
-            for island, result in zip(pending_islands, report.results)
-        }
+        for island, result in zip(pending_islands, report.results):
+            outcomes[island.label] = JobOutcome.from_job(result, island=island)
         misses = report.stats.counters.get("batch.verdict_cache_misses")
 
     with tracer.span(
         "compose.combine",
         islands=len(partition.islands),
-        analytic=len(analytic),
+        analytic=len(partition.islands) - len(jobs),
     ) as span:
-        outcomes = []
-        for island in partition.islands:
-            if island.label in analytic:
-                outcomes.append(analytic[island.label])
-                continue
-            result = explored[island.label]
-            verdict = (
-                Verdict(result.verdict)
-                if result.verdict in Verdict._value2member_map_
-                else Verdict.UNKNOWN
-            )
-            outcomes.append(
-                IslandOutcome(
-                    island=island,
-                    verdict=verdict,
-                    states=result.states,
-                    elapsed=result.elapsed,
-                    stats=result.stats and EngineStats.from_dict(result.stats),
-                    rendered=result.rendered,
-                    cached=result.cached,
-                    error=result.error,
-                )
-            )
-        combined = combine_outcomes(partition, outcomes, cache_misses=misses)
+        combined = combine_outcomes(
+            partition,
+            [outcomes[island.label] for island in partition.islands],
+            cache_misses=misses,
+        )
         span.set(verdict=combined.verdict.value).incr(
             "states", combined.num_states
         )
@@ -265,23 +163,19 @@ def analyze_compositionally(
 
 
 def analyze_island(
-    instance: SystemInstance,
-    island: IslandSpec,
-    *,
-    quantum: Optional[TimeValue] = None,
-    max_states: int = 1_000_000,
-    reduction: Optional[str] = DEFAULT_REDUCTION,
-    steady_mode: bool = False,
+    instance: SystemInstance, request: AnalysisRequest
 ) -> AnalysisResult:
-    """Analyze the slice of ``instance`` holding ``island``'s members
-    (qualified names) under the full model's ``quantum``.  A
-    partitioned slice goes to the hierarchical (BDR) analysis, since
-    the ACSR translation has no server semantics; any other to
-    exploration."""
+    """Analyze the slice of ``instance`` holding ``request.island``'s
+    members (qualified names) under the request's pinned quantum -- the
+    full model's.  A partitioned slice goes to the hierarchical (BDR)
+    analysis, since the ACSR translation has no server semantics; any
+    other to exploration."""
     from repro.aadl import slice_instance
     from repro.errors import ComposeError
     from repro.obs.tracer import current_tracer
 
+    island = request.island
+    quantum = request.quantum
     wanted = set(island.threads) | set(island.processors)
     keep = [
         inst for inst in instance.descendants()
@@ -295,7 +189,7 @@ def analyze_island(
         )
     sliced = slice_instance(instance, keep, label=island.label)
     with current_tracer().span("compose.island", island=island.label) as span:
-        if _is_partitioned(sliced):
+        if sliced.partitioned():
             from repro.hier import analyze_hier
 
             result = analyze_hier(
@@ -303,29 +197,19 @@ def analyze_island(
                 quantizer=(
                     TimingQuantizer(quantum) if quantum is not None else None
                 ),
-                steady_mode=steady_mode,
+                steady_mode=request.mode is not None,
             )
         else:
             result = analyze_model(
                 sliced,
                 quantum=quantum,
-                max_states=max_states,
-                reduction=reduction,
+                max_states=request.max_states,
+                reduction=request.reduce,
             )
         span.set(verdict=result.verdict.value).incr(
             "states", result.num_states
         )
     return result
-
-
-def _is_partitioned(instance: SystemInstance) -> bool:
-    """True when any thread executes inside a virtual-processor
-    partition rather than directly on its host."""
-    return any(
-        thread.bound_processor is not None
-        and thread.bound_processor is not thread.host_processor
-        for thread in instance.threads()
-    )
 
 
 def _screen_islands(
@@ -337,7 +221,7 @@ def _screen_islands(
 ) -> dict:
     """Try the analytic tiers on each island slice, in-process.
 
-    Returns ``{label: IslandOutcome}`` for the islands a tier decided;
+    Returns ``{label: JobOutcome}`` for the islands a tier decided;
     the rest escalate to the pool.  Slicing plus the tier chain costs
     microseconds per island, far below the cost of spawning a job.
     """
@@ -354,12 +238,11 @@ def _screen_islands(
         )
         if result is None:
             continue
-        decided[island.label] = IslandOutcome(
-            island=island,
+        decided[island.label] = JobOutcome(
             verdict=result.verdict,
-            states=0,
             elapsed=result.elapsed,
             stats=result.stats,
             rendered=result.format(),
+            island=island,
         )
     return decided

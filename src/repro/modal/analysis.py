@@ -18,8 +18,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import AadlLegalityError, AnalysisError
 from repro.aadl.components import DeclarativeModel
 from repro.aadl.instance import SystemInstance, instantiate
+from repro.aadl.printer import format_model
 from repro.aadl.properties import TimeValue
 from repro.analysis.modes import ModalAnalysisResult, analyze_all_modes
+from repro.analysis.request import DEFAULT_TIERS, AnalysisRequest
 from repro.analysis.schedulability import Verdict
 from repro.engine.reduce import DEFAULT_REDUCTION
 from repro.engine.stats import EngineStats
@@ -172,9 +174,11 @@ def analyze_modal(
     """Transition-aware analysis of a multi-modal model.
 
     Steady half: every mode reachable from the initial mode, analyzed
-    as its own bound system (optionally through the portfolio tiers,
-    reduction, or the batch pool -- see
-    :func:`repro.analysis.modes.analyze_all_modes`).  Transition half:
+    as its own bound system by :func:`repro.analysis.modes.
+    analyze_all_modes` under one ``modes="all"`` request built from the
+    printed model and the steady arguments (``quantum``, ``max_states``,
+    ``portfolio`` / ``tiers``, ``reduction``); ``workers`` / ``cache``
+    / ``progress`` reach its batch fan-out.  Transition half:
     every reachable transition checked under ``protocol``
     (:data:`repro.modal.transient.PROTOCOLS`); ``fault`` injects a
     registered transient-checker defect for oracle self-tests.
@@ -210,12 +214,15 @@ def analyze_modal(
 
     steady = analyze_all_modes(
         model,
-        root_impl,
-        quantum=quantum,
-        max_states=max_states,
-        portfolio=portfolio,
-        tiers=tiers,
-        reduction=reduction,
+        AnalysisRequest(
+            source=format_model(model),
+            root=impl.name,
+            modes="all",
+            quantum_ps=None if quantum is None else quantum.picoseconds,
+            max_states=max_states,
+            tiers=(tiers or DEFAULT_TIERS) if portfolio else None,
+            reduce=reduction,
+        ),
         workers=workers,
         cache=cache,
         progress=progress,

@@ -21,8 +21,10 @@ same budget and are classified with
   carries a *witness* scenario that names a deadline miss;
 * ``UNKNOWN`` -- either side exhausted its budget (an island, a reduced
   space or a tier may decide what the other side cannot);
-* ``DISAGREED`` -- both sides decided and differ, or an analytic
-  UNSCHEDULABLE has no witness.  CI gates on it.
+* ``DISAGREED`` -- both sides decided and differ, an analytic
+  UNSCHEDULABLE has no witness, or the layered request raised (an
+  unreduced search refuting a reduced deadlock, say) where the plain
+  one answered.  CI gates on it.
 
 ``fault=`` names a registered reduction bug
 (:data:`repro.engine.reduce.REDUCTION_FAULTS`).  It rides in the
@@ -44,6 +46,7 @@ from repro.analysis.request import DEFAULT_TIERS, AnalysisRequest, analyze
 from repro.analysis.schedulability import Verdict
 from repro.compose.combiner import CompositionResult
 from repro.engine.reduce import REDUCTION_FAULTS
+from repro.errors import ReproError
 from repro.oracle import modal
 from repro.oracle.campaign import PROFILES, draw_case
 from repro.oracle.relations import (
@@ -231,20 +234,22 @@ def evaluate(
 
     if layers["decomposition"] or not layers["reduce"]:
         fault = None
-    plain = run(reduce="none")
-    layered = run(fault=fault, **layers)
-    status, details = classify(plain, layered)
     combo = " ".join(
         "tiers" if name == "tiers" else value
         for name, value in layers.items()
         if value
     )
+    title = f"{family} {label} [{combo}]"
+    plain = run(reduce="none")
+    try:
+        layered = run(fault=fault, **layers)
+    except ReproError as exc:
+        return RelationOutcome(
+            seed, DISAGREED, title, details=[f"layered request failed: {exc}"]
+        )
+    status, details = classify(plain, layered)
     return RelationOutcome(
-        seed,
-        status,
-        f"{family} {label} [{combo}]",
-        counts=_counts(layered),
-        details=details,
+        seed, status, title, counts=_counts(layered), details=details
     )
 
 

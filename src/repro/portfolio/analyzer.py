@@ -275,12 +275,7 @@ def analyze_portfolio(
         return result
 
     tracer = current_tracer()
-    partitioned = any(
-        thread.bound_processor is not None
-        and thread.bound_processor is not thread.host_processor
-        for thread in instance.threads()
-    )
-    if partitioned:
+    if instance.partitioned():
         # The ACSR translation has no server semantics: flattening a
         # virtual processor into a full one would silently over-supply
         # the partition, so escalation routes to the hierarchical

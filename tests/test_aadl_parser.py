@@ -87,6 +87,17 @@ class TestTypeParsing:
         with pytest.raises(AadlSyntaxError):
             parse_model("thread T end U;")
 
+    def test_split_arrow_is_not_an_arrow(self):
+        """``=>`` is one token only when its characters touch."""
+        with pytest.raises(AadlSyntaxError) as caught:
+            parse_model(
+                "processor CPU\n  properties\n"
+                "    Scheduling_Protocol = > RMS;\nend CPU;\n"
+            )
+        assert str(caught.value) == (
+            "line 3, column 25: expected '=>', found '='"
+        )
+
     def test_keywords_case_insensitive(self):
         model = parse_model(
             "THREAD T PROPERTIES Dispatch_Protocol => periodic; END T;"

@@ -4,8 +4,9 @@ import pytest
 
 from repro.errors import AnalysisError
 from repro.aadl import parse_model, instantiate
-from repro.analysis import Verdict, analyze_all_modes
+from repro.analysis import Verdict
 from repro.analysis.modes import ModalAnalysisResult
+from repro.analysis.request import AnalysisRequest, analyze
 
 MODAL = """
 processor CPU
@@ -83,10 +84,15 @@ class TestModeOverrides:
             )
 
 
+def _all_modes(source, root, *, workers=None, cache=None, **fields):
+    """``source`` analyzed with ``modes="all"`` through the planner."""
+    request = AnalysisRequest(source=source, root=root, modes="all", **fields)
+    return analyze(request, workers=workers, cache=cache)
+
+
 class TestAnalyzeAllModes:
     def test_per_mode_verdicts(self):
-        model = parse_model(MODAL)
-        result = analyze_all_modes(model, "S.impl")
+        result = _all_modes(MODAL, "S.impl")
         assert isinstance(result, ModalAnalysisResult)
         # nominal: two Light threads (U = 0.5): fine.
         assert result.per_mode["nominal"].verdict is Verdict.SCHEDULABLE
@@ -100,8 +106,7 @@ class TestAnalyzeAllModes:
             "Compute_Execution_Time => 3 ms .. 3 ms;",
             "Compute_Execution_Time => 4 ms .. 4 ms;",
         )
-        model = parse_model(source)
-        result = analyze_all_modes(model, "S.impl")
+        result = _all_modes(source, "S.impl")
         assert result.per_mode["nominal"].verdict is Verdict.SCHEDULABLE
         assert result.per_mode["recovery"].verdict is Verdict.UNSCHEDULABLE
         assert result.verdict is Verdict.UNSCHEDULABLE
@@ -111,9 +116,8 @@ class TestAnalyzeAllModes:
     def test_modeless_root_rejected(self):
         from repro.aadl.gallery import cruise_control_text
 
-        model = parse_model(cruise_control_text())
         with pytest.raises(AnalysisError):
-            analyze_all_modes(model, "CruiseControl.impl")
+            _all_modes(cruise_control_text(), "CruiseControl.impl")
 
     def test_unreachable_mode_is_skipped(self):
         """A mode no transition path reaches from the initial mode
@@ -121,23 +125,17 @@ class TestAnalyzeAllModes:
         turn the verdict."""
         from repro.aadl.gallery import fault_recovery_text
 
-        model = parse_model(fault_recovery_text())
-        result = analyze_all_modes(model, "Plant.impl")
+        result = _all_modes(fault_recovery_text(), "Plant.impl")
         assert "maintenance" not in result.per_mode
         assert result.unreachable_modes == ("maintenance",)
         assert result.verdict is Verdict.SCHEDULABLE
         assert "unreachable from the initial mode" in result.format()
 
     def test_pooled_modes_cache_on_resubmission(self, tmp_path):
-        model = parse_model(MODAL)
         cache = str(tmp_path / "cache")
-        first = analyze_all_modes(
-            model, "S.impl", workers=1, cache=cache
-        )
+        first = _all_modes(MODAL, "S.impl", workers=1, cache=cache)
         assert not any(o.cached for o in first.per_mode.values())
-        second = analyze_all_modes(
-            model, "S.impl", workers=1, cache=cache
-        )
+        second = _all_modes(MODAL, "S.impl", workers=1, cache=cache)
         assert all(o.cached for o in second.per_mode.values())
         assert second.verdict is first.verdict
         assert "[cached]" in second.format()
@@ -148,14 +146,13 @@ class TestAnalyzeAllModes:
         from repro.aadl.gallery import fault_recovery_text
         from repro.aadl.properties import TimeValue
 
-        model = parse_model(fault_recovery_text())
         outcomes = [
             {
                 mode: (outcome.verdict, outcome.num_states)
-                for mode, outcome in analyze_all_modes(
-                    model,
+                for mode, outcome in _all_modes(
+                    fault_recovery_text(),
                     "Plant.impl",
-                    quantum=TimeValue(2_000_500, "ns"),
+                    quantum_ps=TimeValue(2_000_500, "ns").picoseconds,
                     workers=workers,
                 ).per_mode.items()
             }
@@ -170,11 +167,11 @@ class TestVerdictDominance:
 
     @staticmethod
     def _result(*verdicts):
-        from repro.analysis.modes import ModeOutcome
+        from repro.batch.pool import JobOutcome
 
         return ModalAnalysisResult(
             {
-                f"m{i}": ModeOutcome(mode=f"m{i}", verdict=v)
+                f"m{i}": JobOutcome(mode=f"m{i}", verdict=v)
                 for i, v in enumerate(verdicts)
             }
         )

@@ -16,21 +16,20 @@ from repro.aadl.gallery import (
 )
 from repro.aadl.properties import DispatchProtocol, SchedulingProtocol, ms
 from repro.analysis import Verdict, analyze_model
-from repro.analysis.request import AnalysisRequest, IslandSpec
+from repro.analysis.request import AnalysisRequest, IslandSpec, analyze
 from repro.batch import AnalysisJob, execute_job
 from repro.batch.cache import cache_key
 from repro.cli import main
 from repro.compose import (
     CouplingEdge,
     Island,
-    analyze_compositionally,
     build_coupling_graph,
     combine_outcomes,
     island_slice,
     partition_instance,
     plan,
 )
-from repro.compose.combiner import IslandOutcome
+from repro.batch.pool import JobOutcome
 from repro.translate import translate
 
 
@@ -274,10 +273,10 @@ def _island(index=0):
 
 
 def _outcome(verdict, *, index=0, states=10, error=None):
-    return IslandOutcome(
+    return JobOutcome(
         island=_island(index),
         verdict=verdict,
-        states=states,
+        num_states=states,
         elapsed=0.0,
         error=error,
     )
@@ -416,21 +415,30 @@ class TestIslandJobs:
 # ---------------------------------------------------------------------------
 
 
+def _compose(instance, *, workers=1, cache=None, **fields):
+    """``instance`` analyzed with ``decomposition="compose"`` through
+    the planner."""
+    model = instance.declarative
+    request = AnalysisRequest(
+        source=format_model(model),
+        root=instance.impl.name,
+        decomposition="compose",
+        **fields,
+    )
+    return analyze(request, model=model, workers=workers, cache=cache)
+
+
 class TestAnalyzeCompositionally:
     def test_agrees_with_monolithic_and_explores_fewer_states(self):
         monolithic = analyze_model(dual_island(), reduction="none")
-        composed = analyze_compositionally(
-            dual_island(), workers=1, reduction="none"
-        )
+        composed = _compose(dual_island(), reduce="none")
         assert composed.compositional
         assert composed.verdict is monolithic.verdict
         # The whole point: sum of islands < product state space.
         assert composed.num_states < monolithic.num_states
 
     def test_unschedulable_island_surfaces_counterexample(self):
-        composed = analyze_compositionally(
-            dual_island(schedulable=False), workers=1
-        )
+        composed = _compose(dual_island(schedulable=False))
         assert composed.verdict is Verdict.UNSCHEDULABLE
         culprit = composed.first_unschedulable()
         assert culprit.island.label == "island-1-cpu2"
@@ -442,39 +450,29 @@ class TestAnalyzeCompositionally:
         )
 
     def test_coupled_model_falls_back_with_reason(self):
-        composed = analyze_compositionally(coupled_islands(), workers=1)
+        composed = _compose(coupled_islands())
         assert not composed.compositional
         assert composed.mode == "monolithic-fallback"
         assert "coupled" in composed.fallback_reason
         assert composed.verdict is analyze_model(coupled_islands()).verdict
 
     def test_single_processor_falls_back(self):
-        composed = analyze_compositionally(
-            two_periodic_threads(), workers=1
-        )
+        composed = _compose(two_periodic_threads())
         assert not composed.compositional
         assert composed.verdict is Verdict.SCHEDULABLE
 
-    def test_declarative_input_requires_root(self):
-        from repro.aadl import parse_model
-
-        model = parse_model(open("examples/dual_island.aadl").read())
-        with pytest.raises(ValueError, match="root_impl"):
-            analyze_compositionally(model)
-        composed = analyze_compositionally(
-            model, root_impl="DualIsland.impl", workers=1
+    def test_source_input_infers_root(self):
+        text = open("examples/dual_island.aadl").read()
+        composed = analyze(
+            AnalysisRequest(source=text, decomposition="compose"), workers=1
         )
         assert composed.compositional
 
     def test_island_results_cache(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        first = analyze_compositionally(
-            dual_island(), workers=1, cache=cache_dir
-        )
+        first = _compose(dual_island(), cache=cache_dir)
         assert all(not o.cached for o in first.outcomes)
-        second = analyze_compositionally(
-            dual_island(), workers=1, cache=cache_dir
-        )
+        second = _compose(dual_island(), cache=cache_dir)
         assert all(o.cached for o in second.outcomes)
         assert second.verdict is first.verdict
 
@@ -500,7 +498,7 @@ class TestAnalyzeCompositionally:
             deadline=ms(3),
             processor=cpu2,
         )
-        composed = analyze_compositionally(b.instantiate(), workers=1)
+        composed = _compose(b.instantiate())
         assert composed.compositional
         # Full-model GCD is 1 ms; a lone 'coarse' island would have
         # used 2 ms.  4 quanta per period proves the pin took.
@@ -508,18 +506,47 @@ class TestAnalyzeCompositionally:
         assert "quantum: 1000000000 ps" in rendered
 
     def test_format_mentions_islands_and_verdict(self):
-        text = analyze_compositionally(dual_island(), workers=1).format()
+        text = _compose(dual_island()).format()
         assert "2 islands" in text
         assert "island-0-cpu1" in text
         assert "verdict: schedulable" in text
 
     def test_parallel_workers_match_inline(self):
-        inline = analyze_compositionally(dual_island(), workers=1)
-        pooled = analyze_compositionally(dual_island(), workers=2)
+        inline = _compose(dual_island())
+        pooled = _compose(dual_island(), workers=2)
         assert pooled.verdict is inline.verdict
         assert [o.verdict for o in pooled.outcomes] == [
             o.verdict for o in inline.outcomes
         ]
+
+
+class TestFallbackThroughPlanner:
+    def test_steady_mode_fallback_lets_a_tier_decide(self):
+        """A pinned mode's monolithic fallback is the planner's own
+        configuration step, so the multi-modal bar is waived there too:
+        every mode is decided analytically, as without compose."""
+        from repro.aadl.gallery import fault_recovery_text
+        from repro.analysis.request import DEFAULT_TIERS
+
+        request = AnalysisRequest(
+            source=fault_recovery_text(),
+            modes="all",
+            decomposition="compose",
+            tiers=DEFAULT_TIERS,
+        )
+        composed = analyze(request)
+        plain = analyze(
+            AnalysisRequest(
+                source=request.source, modes="all", tiers=DEFAULT_TIERS
+            )
+        )
+        assert composed.num_states == 0
+        assert composed.stats.counters.get("portfolio.escalations", 0) == 0
+        for mode, outcome in composed.per_mode.items():
+            assert outcome.num_states == 0
+            assert outcome.decided_by is not None
+            assert outcome.decided_by == plain.per_mode[mode].decided_by
+            assert outcome.verdict is plain.per_mode[mode].verdict
 
 
 class TestComposeTracing:
@@ -528,7 +555,7 @@ class TestComposeTracing:
 
         tracer = Tracer()
         with activate(tracer):
-            analyze_compositionally(dual_island(), workers=1)
+            _compose(dual_island())
         names = {span.name for span in tracer.spans}
         for stage in COMPOSE_STAGES:
             assert stage in names, f"missing span {stage}"
@@ -538,7 +565,7 @@ class TestComposeTracing:
 
         tracer = Tracer()
         with activate(tracer):
-            analyze_compositionally(coupled_islands(), workers=1)
+            _compose(coupled_islands())
         partition_spans = [
             s for s in tracer.spans if s.name == "compose.partition"
         ]

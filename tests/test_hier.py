@@ -408,9 +408,16 @@ class TestWiring:
                 assert not tier.interface_aware
 
     def test_compose_routes_partitioned_fallback_through_hier(self):
-        from repro.compose import analyze_compositionally
+        from repro.aadl import format_model
+        from repro.analysis.request import AnalysisRequest, analyze
 
-        result = analyze_compositionally(arinc_partitions())
+        model = arinc_partitions().declarative
+        result = analyze(
+            AnalysisRequest(
+                source=format_model(model), decomposition="compose"
+            ),
+            model=model,
+        )
         assert result.mode == "monolithic-fallback"
         assert result.verdict is Verdict.SCHEDULABLE
 

@@ -9,11 +9,10 @@ from hypothesis import given, strategies as st
 
 from repro.aadl import format_model
 from repro.analysis import Verdict, analyze_model
-from repro.analysis.request import AnalysisRequest
+from repro.analysis.request import AnalysisRequest, analyze
 from repro.batch import AnalysisJob
 from repro.batch.cache import cache_key
 from repro.cli import main
-from repro.compose import analyze_compositionally
 from repro.engine import Budget, explore
 from repro.engine.reduce import (
     PASS_NAMES,
@@ -271,8 +270,15 @@ class TestAnalysisEquivalence:
         assert reduced.num_states == unreduced.num_states
 
     def test_compose_forwards_reduction(self, replicated):
-        composed = analyze_compositionally(
-            replicated, workers=1, reduction="sym,por"
+        model = replicated.declarative
+        composed = analyze(
+            AnalysisRequest(
+                source=format_model(model),
+                decomposition="compose",
+                reduce="sym,por",
+            ),
+            model=model,
+            workers=1,
         )
         assert composed.verdict is analyze_model(replicated).verdict
 

@@ -37,6 +37,16 @@ class TestDraw:
         second = evaluate(7)
         assert first == second
 
+    def test_layered_error_disagrees(self):
+        """A layered request that raises where the plain one answered is
+        a disagreement, with the error as its detail: here the unreduced
+        witness search refutes the faulted reduction's deadlock."""
+        outcome = evaluate(4, fault="overeager-sym")
+        assert outcome.status is DISAGREED
+        (detail,) = outcome.details
+        assert detail.startswith("layered request failed: ")
+        assert "refuted by the unreduced search" in detail
+
     def test_failing_seed_reruns_alone(self):
         """Case i of a campaign draws from seed base+i alone, so the
         seed a report prints re-runs that very case."""
