@@ -25,9 +25,10 @@ and :func:`analyze` runs it through the layers in one fixed order:
    quantum_ps=...)`` and whose monolithic fallback is step 6 on the
    same instance) or ``"hier"`` (:func:`repro.hier.analyze_hier`);
 6. **portfolio and reduction** -- :func:`repro.portfolio.
-   analyze_portfolio` when ``tiers`` is set, else
-   :func:`~repro.analysis.schedulability.analyze_model`; both apply the
-   ``reduce`` passes to exploration.
+   analyze_portfolio` when ``tiers`` is set (its escalation,
+   :func:`repro.portfolio.escalate`, is the route an island takes
+   too), else :func:`~repro.analysis.schedulability.analyze_model`;
+   both apply the ``reduce`` passes to exploration.
 
 Every layer returns its own result object, and so does :func:`analyze`.
 The request is also the batch job (:meth:`repro.batch.AnalysisJob.
@@ -354,14 +355,13 @@ def analyze_configuration(request: AnalysisRequest, instance, **fan_out):
             steady_mode=steady,
         )
     if request.tiers is not None:
-        from repro.portfolio import PortfolioAnalyzer, analyze_portfolio
-        from repro.portfolio.tiers import tiers_from_token
+        from repro.portfolio import analyze_portfolio
 
         return analyze_portfolio(
             instance,
+            tiers=request.tiers,
             quantum=quantum,
             max_states=request.max_states,
-            analyzer=PortfolioAnalyzer(tiers_from_token(request.tiers)),
             reduction=request.reduce,
             reduction_fault=request.fault,
             steady_mode=steady,

@@ -99,6 +99,43 @@ class AnalysisResult:
         self.tier_trail = list(tier_trail) if tier_trail is not None else []
         self._quantizer = quantizer
 
+    @classmethod
+    def analytic(
+        cls,
+        verdict: Verdict,
+        stats: EngineStats,
+        *,
+        decided_by: str,
+        scenario: Optional[AadlScenario] = None,
+        tier_trail: Optional[Iterable[str]] = None,
+        quantizer: Optional["TimingQuantizer"] = None,
+    ) -> "AnalysisResult":
+        """A verdict reached without translating the model.  Its
+        ``exploration`` explored zero states: it carries ``stats`` and
+        their elapsed time, and is complete unless the verdict is
+        UNKNOWN."""
+        exploration = ExplorationResult(
+            None,  # type: ignore[arg-type]
+            num_states=0,
+            num_transitions=0,
+            deadlock_states=[],
+            target_states=[],
+            completed=verdict is not Verdict.UNKNOWN,
+            elapsed=stats.elapsed,
+            parent={},
+            transitions=None,
+            stats=stats,
+        )
+        return cls(
+            verdict,
+            None,
+            exploration,
+            scenario,
+            decided_by=decided_by,
+            tier_trail=tier_trail,
+            quantizer=quantizer,
+        )
+
     @property
     def quantizer(self) -> Optional["TimingQuantizer"]:
         """The quantizer behind the verdict, whether the model was
@@ -178,9 +215,11 @@ def analyze_model(
     ``strategy`` selects the engine search order (BFS by default, which
     keeps counterexamples shortest) and ``observers`` attaches engine
     instrumentation hooks to the run.  ``portfolio`` routes the model
-    through the tiered analytic portfolio first, escalating to this
-    exhaustive exploration only when no tier decides (see
-    :mod:`repro.portfolio`).  ``reduction`` names the state-space
+    through the default analytic tier chain first, escalating only when
+    no tier decides (:func:`repro.portfolio.analyze_portfolio`); that
+    route sets no exploration options, so ``options``, ``max_seconds``,
+    ``stop_at_first_deadlock=False``, ``strategy`` or ``observers``
+    with it raise :class:`ValueError`.  ``reduction`` names the state-space
     reduction passes (``"sym,por"``-style spec, default
     :data:`~repro.engine.reduce.DEFAULT_REDUCTION`; ``None`` or
     ``"none"`` explores unreduced) -- the verdict, including honest
@@ -195,20 +234,35 @@ def analyze_model(
     without a deadlock the reduction was unsound, and
     :class:`~repro.errors.AnalysisError` is raised.
     """
+    if isinstance(model, DeclarativeModel):
+        if root_impl is None:
+            raise ValueError(
+                "root_impl is required when passing a declarative model"
+            )
+        instance = instantiate(model, root_impl)
+    else:
+        instance = model
     if portfolio:
+        given = {
+            "options": options is not None,
+            "max_seconds": max_seconds is not None,
+            "stop_at_first_deadlock": not stop_at_first_deadlock,
+            "strategy": strategy is not None,
+            "observers": observers is not None,
+        }
+        exploration_only = [name for name, set_ in given.items() if set_]
+        if exploration_only:
+            raise ValueError(
+                f"portfolio=True cannot take {', '.join(exploration_only)}: "
+                f"the portfolio sets no exploration options"
+            )
         # Imported lazily: repro.portfolio imports this module.
         from repro.portfolio import analyze_portfolio
 
         return analyze_portfolio(
-            model,
-            root_impl=root_impl,
+            instance,
             quantum=quantum,
-            options=options,
             max_states=max_states,
-            max_seconds=max_seconds,
-            stop_at_first_deadlock=stop_at_first_deadlock,
-            strategy=strategy,
-            observers=observers,
             reduction=reduction,
             reduction_fault=reduction_fault,
         )
@@ -217,14 +271,6 @@ def analyze_model(
 
     tracer = current_tracer()
     with tracer.span("analysis.analyze") as analyze_span:
-        if isinstance(model, DeclarativeModel):
-            if root_impl is None:
-                raise ValueError(
-                    "root_impl is required when passing a declarative model"
-                )
-            instance = instantiate(model, root_impl)
-        else:
-            instance = model
         analyze_span.set(root=instance.qualified_name)
 
         if options is None:

@@ -26,7 +26,7 @@ from typing import Optional
 
 from repro.aadl.instance import SystemInstance
 from repro.analysis.request import AnalysisRequest, IslandSpec
-from repro.analysis.schedulability import AnalysisResult, analyze_model
+from repro.analysis.schedulability import AnalysisResult
 from repro.batch.jobs import AnalysisJob
 from repro.batch.pool import JobOutcome, ProgressFn, run_batch
 from repro.compose.combiner import CompositionResult, combine_outcomes
@@ -167,15 +167,15 @@ def analyze_island(
 ) -> AnalysisResult:
     """Analyze the slice of ``instance`` holding ``request.island``'s
     members (qualified names) under the request's pinned quantum -- the
-    full model's.  A partitioned slice goes to the hierarchical (BDR)
-    analysis, since the ACSR translation has no server semantics; any
-    other to exploration."""
+    full model's -- by the portfolio's escalation route
+    (:func:`repro.portfolio.escalate`): the hierarchical (BDR) analysis
+    for a partitioned slice, exploration for any other."""
     from repro.aadl import slice_instance
     from repro.errors import ComposeError
     from repro.obs.tracer import current_tracer
+    from repro.portfolio import escalate
 
     island = request.island
-    quantum = request.quantum
     wanted = set(island.threads) | set(island.processors)
     keep = [
         inst for inst in instance.descendants()
@@ -189,23 +189,13 @@ def analyze_island(
         )
     sliced = slice_instance(instance, keep, label=island.label)
     with current_tracer().span("compose.island", island=island.label) as span:
-        if sliced.partitioned():
-            from repro.hier import analyze_hier
-
-            result = analyze_hier(
-                sliced,
-                quantizer=(
-                    TimingQuantizer(quantum) if quantum is not None else None
-                ),
-                steady_mode=request.mode is not None,
-            )
-        else:
-            result = analyze_model(
-                sliced,
-                quantum=quantum,
-                max_states=request.max_states,
-                reduction=request.reduce,
-            )
+        result = escalate(
+            sliced,
+            quantum=request.quantum,
+            max_states=request.max_states,
+            reduction=request.reduce,
+            steady_mode=request.mode is not None,
+        )
         span.set(verdict=result.verdict.value).incr(
             "states", result.num_states
         )
@@ -226,15 +216,15 @@ def _screen_islands(
     microseconds per island, far below the cost of spawning a job.
     """
     from repro.aadl import slice_instance
-    from repro.portfolio import PortfolioAnalyzer
+    from repro.portfolio import default_tiers, screen
 
-    analyzer = PortfolioAnalyzer()
+    tiers = default_tiers()
     decided: dict = {}
     for island in partition.islands:
         keep = list(island.threads) + list(island.processors)
         sliced = slice_instance(instance, keep, label=island.label)
-        result = analyzer.try_analytic(
-            sliced, quantizer=quantizer, steady_mode=steady_mode
+        result, _, _ = screen(
+            sliced, tiers, quantizer=quantizer, steady_mode=steady_mode
         )
         if result is None:
             continue

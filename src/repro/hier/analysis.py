@@ -37,7 +37,6 @@ from typing import Dict, List, Optional
 from repro.aadl.instance import SystemInstance
 from repro.aadl.properties import EXECUTION_TIME, PERIOD, SchedulingProtocol
 from repro.analysis.schedulability import AnalysisResult, Verdict
-from repro.engine.result import ExplorationResult
 from repro.engine.stats import EngineStats
 from repro.errors import HierError
 from repro.hier.check import check_partition, fractional_utilization
@@ -238,10 +237,9 @@ def analyze_hier(
             )
 
     verdict = Verdict.combine(verdicts)
-    elapsed = time.perf_counter() - start
     stats = EngineStats(
         strategy="hier",
-        elapsed=elapsed,
+        elapsed=time.perf_counter() - start,
         counters={
             "hier.partitions_checked": partitions_checked,
             "hier.interface_hits": interface_hits,
@@ -250,23 +248,9 @@ def analyze_hier(
     )
     if verdict is not Verdict.UNKNOWN:
         stats.incr("portfolio.hits.hier")
-    exploration = ExplorationResult(
-        None,  # type: ignore[arg-type]
-        num_states=0,
-        num_transitions=0,
-        deadlock_states=[],
-        target_states=[],
-        completed=verdict is not Verdict.UNKNOWN,
-        elapsed=elapsed,
-        parent={},
-        transitions=None,
-        stats=stats,
-    )
-    return AnalysisResult(
+    return AnalysisResult.analytic(
         verdict,
-        None,
-        exploration,
-        None,
+        stats,
         decided_by="hier",
         tier_trail=trail,
         quantizer=context.quantizer,

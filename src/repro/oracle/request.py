@@ -24,7 +24,8 @@ same budget and are classified with
 * ``DISAGREED`` -- both sides decided and differ, an analytic
   UNSCHEDULABLE has no witness, or the layered request raised (an
   unreduced search refuting a reduced deadlock, say) where the plain
-  one answered.  CI gates on it.
+  one answered.  CI gates on it.  A raising request has no layer
+  counts; it counts one ``request.errors`` instead.
 
 ``fault=`` names a registered reduction bug
 (:data:`repro.engine.reduce.REDUCTION_FAULTS`).  It rides in the
@@ -208,6 +209,7 @@ def _counts(layered) -> Dict[str, int]:
         "compose.fallback": int(composed and not layered.compositional),
         "reduce.orbits_merged": total.get("reduce.orbits_merged", 0),
         "reduce.por_pruned": total.get("reduce.por_pruned", 0),
+        "request.errors": 0,
     }
 
 
@@ -244,8 +246,14 @@ def evaluate(
     try:
         layered = run(fault=fault, **layers)
     except ReproError as exc:
+        # The layers ran but return no counts: count the error, so a
+        # campaign's totals say how many seeds they leave out.
         return RelationOutcome(
-            seed, DISAGREED, title, details=[f"layered request failed: {exc}"]
+            seed,
+            DISAGREED,
+            title,
+            counts={"request.errors": 1},
+            details=[f"layered request failed: {exc}"],
         )
     status, details = classify(plain, layered)
     return RelationOutcome(

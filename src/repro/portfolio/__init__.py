@@ -11,13 +11,17 @@ This package chains them in escalating cost order --
 -- with each tier's conclusions bounded by an explicit soundness class
 (:class:`~repro.portfolio.tiers.Soundness`), witnesses synthesized for
 analytic UNSCHEDULABLE verdicts, and per-tier counters on the engine
-stats.  ``repro analyze --portfolio``, the compose runner and the batch
-pool route through :func:`analyze_portfolio`; the ``oracle request``
-relation cross-checks it against pure exploration.  See
+stats.  Two functions make the portfolio: :func:`screen` runs a tier
+chain, and :func:`analyze_portfolio` hands what it leaves undecided to
+:func:`escalate` -- the hierarchical analysis for a partitioned
+instance, exhaustive exploration otherwise -- which the compose
+runner's islands share.  ``repro analyze --portfolio``, the compose
+runner and the batch pool route through them; the ``oracle request``
+relation cross-checks them against pure exploration.  See
 ``docs/portfolio.md``.
 """
 
-from repro.portfolio.analyzer import PortfolioAnalyzer, analyze_portfolio
+from repro.portfolio.analyzer import analyze_portfolio, escalate, screen
 from repro.portfolio.context import (
     AnalyticUnit,
     PortfolioContext,
@@ -46,7 +50,6 @@ __all__ = [
     "AnalyticUnit",
     "DEFAULT_MAX_HORIZON",
     "EdfDemandTier",
-    "PortfolioAnalyzer",
     "PortfolioContext",
     "RtaTier",
     "SimulationTier",
@@ -58,8 +61,10 @@ __all__ = [
     "analyze_portfolio",
     "build_context",
     "default_tiers",
+    "escalate",
     "explanation_witness",
     "miss_witness",
     "scenario_from_simulation",
+    "screen",
     "tiers_from_token",
 ]

@@ -12,9 +12,10 @@ about the ACSR exploration verdict:
   (RTA on synchronous sets, EDF demand, worst-case simulation).
 
 A tier examines one :class:`~repro.portfolio.context.AnalyticUnit` at a
-time and returns a :class:`UnitDecision` or None (inconclusive).  The
-:class:`~repro.portfolio.analyzer.PortfolioAnalyzer` runs the chain and
-escalates to exhaustive exploration when units remain undecided.  Tiers
+time and returns a :class:`UnitDecision` or None (inconclusive).
+:func:`~repro.portfolio.analyzer.screen` runs the chain, and
+:func:`~repro.portfolio.analyzer.analyze_portfolio` escalates to the
+exact analysis when units remain undecided.  Tiers
 self-demote where their exactness is conditional: RTA and EDF demand
 draw no UNSCHEDULABLE conclusions from offset-bearing sets (see
 :func:`repro.sched.rta.rta_exactness`), mirroring the oracle relations.
@@ -84,7 +85,8 @@ class Tier:
     #: Whether this tier understands partition units (those carrying a
     #: BDR supply interface).  Full-supply tiers must never see them:
     #: their verdicts assume the whole processor, which over-promises
-    #: supply for a partition.  The analyzer enforces the split.
+    #: supply for a partition.
+    #: :func:`~repro.portfolio.analyzer.screen` enforces the split.
     interface_aware: bool = False
 
     def applicable(self, unit: AnalyticUnit) -> bool:
@@ -348,43 +350,36 @@ class HierTier(Tier):
         )
 
 
-def default_tiers(
-    *, max_horizon: int = DEFAULT_MAX_HORIZON
-) -> List[Tier]:
-    """The standard chain, cheapest first.  The hier tier leads: it is
-    the only one applicable to partition units, and the unit sets are
-    disjoint so order against the full-supply tiers is immaterial."""
-    return [
-        HierTier(),
-        UtilizationCapTier(max_horizon),
-        UtilizationBoundTier(),
-        RtaTier(),
-        EdfDemandTier(),
-        SimulationTier(max_horizon),
-    ]
+#: The default chain's tier classes, in order.  The hier tier leads:
+#: it is the only one applicable to partition units, and the unit sets
+#: are disjoint so order against the full-supply tiers is immaterial.
+_CHAIN = (
+    HierTier,
+    UtilizationCapTier,
+    UtilizationBoundTier,
+    RtaTier,
+    EdfDemandTier,
+    SimulationTier,
+)
 
 
-def tiers_from_token(
-    token: Optional[str], *, max_horizon: int = DEFAULT_MAX_HORIZON
-) -> List[Tier]:
+def default_tiers() -> List[Tier]:
+    """The standard chain, cheapest first."""
+    return [tier() for tier in _CHAIN]
+
+
+def tiers_from_token(token: Optional[str]) -> List[Tier]:
     """Rebuild a tier chain from its config token (``"+"``-joined tier
     names, the cache-key form).  None, the empty string or ``"default"``
     (:data:`repro.analysis.request.DEFAULT_TIERS`) selects the default
     chain; unknown names raise."""
     if not token or token == "default":
-        return default_tiers(max_horizon=max_horizon)
-    factories = {
-        HierTier.name: HierTier,
-        UtilizationCapTier.name: lambda: UtilizationCapTier(max_horizon),
-        UtilizationBoundTier.name: UtilizationBoundTier,
-        RtaTier.name: RtaTier,
-        EdfDemandTier.name: EdfDemandTier,
-        SimulationTier.name: lambda: SimulationTier(max_horizon),
-    }
+        return default_tiers()
+    by_name = {tier.name: tier for tier in _CHAIN}
     tiers: List[Tier] = []
     for name in token.split("+"):
-        factory = factories.get(name)
-        if factory is None:
+        tier = by_name.get(name)
+        if tier is None:
             raise SchedError(f"unknown portfolio tier {name!r}")
-        tiers.append(factory())
+        tiers.append(tier())
     return tiers

@@ -403,7 +403,7 @@ class TestWiring:
             if tier.interface_aware:
                 continue
             for unit in partition_units:
-                # The analyzer's screen() filter enforces this pairing;
+                # The portfolio's screen() filter enforces this pairing;
                 # the attribute is the contract it filters on.
                 assert not tier.interface_aware
 
@@ -466,3 +466,138 @@ class TestBatchHier:
         source = format_model(b.declarative())
         honest = execute_job(hier_job(source))
         assert honest.verdict == "unschedulable"
+
+
+#: One RMS partition (server period 10 ms, budget 5 ms) hosting a
+#: thread with T = D = 10 ms, C = 5 ms, in two modes.  The BDR interface
+#: check fails (sbf(10) = 0); the flattened simulation passes, so every
+#: steady mode is schedulable -- by escalating from the tiers to the
+#: hierarchical analysis.
+TWO_MODE_PARTITION = """\
+processor Cpu
+  properties
+    Scheduling_Protocol => RMS;
+end Cpu;
+virtual processor Part
+  properties
+    Scheduling_Protocol => RMS;
+    Period => 10 ms;
+    Execution_Time => 5 ms;
+end Part;
+thread Ctl
+  features
+    go: out event port;
+    stop: out event port;
+  properties
+    Dispatch_Protocol => Periodic;
+    Period => 10 ms;
+    Compute_Execution_Time => 5 ms .. 5 ms;
+    Compute_Deadline => 10 ms;
+end Ctl;
+system Node end Node;
+system implementation Node.impl
+  subcomponents
+    cpu: processor Cpu;
+    part: virtual processor Part;
+    ctl: thread Ctl;
+  modes
+    idle: initial mode;
+    busy: mode;
+    start: idle -[ctl.go]-> busy;
+    halt: busy -[ctl.stop]-> idle;
+  properties
+    Actual_Processor_Binding => reference(cpu) applies to part;
+    Actual_Processor_Binding => reference(part) applies to ctl;
+end Node.impl;
+"""
+
+#: Steady-mode routes that escalate a pinned partitioned mode past the
+#: tiers, as request fields and as CLI flags.
+STEADY_ROUTES = [
+    pytest.param(
+        {"modes": "all", "tiers": "default"},
+        ["--all-modes", "--portfolio"],
+        id="all-modes-portfolio",
+    ),
+    pytest.param(
+        {"modes": "all", "decomposition": "compose"},
+        ["--all-modes", "--compose"],
+        id="all-modes-compose",
+    ),
+    pytest.param(
+        {"modes": "modal", "tiers": "default"},
+        ["--modal", "--portfolio"],
+        id="modal-portfolio",
+    ),
+    pytest.param(
+        {"modes": "modal", "tiers": "default", "protocol": "asynchronous"},
+        ["--modal", "--portfolio", "--protocol", "asynchronous"],
+        id="modal-portfolio-asynchronous",
+    ),
+]
+
+
+class TestPartitionedSteadyModes:
+    """A pinned steady mode of a partitioned model escalates to the
+    hierarchical analysis *in that mode*: every route reaches the
+    verdicts of ``--all-modes --hier``."""
+
+    @staticmethod
+    def _per_mode(result):
+        steady = getattr(result, "steady", result)
+        return {
+            mode: outcome.verdict
+            for mode, outcome in steady.per_mode.items()
+        }
+
+    def test_pinned_mode_escalates_to_hier(self):
+        """The hier tier's interface check fails, so the portfolio
+        escalates, and the flattened simulation decides the mode."""
+        from repro.analysis.request import analyze
+
+        result = analyze(
+            AnalysisRequest(TWO_MODE_PARTITION, mode="idle", tiers="default")
+        )
+        assert result.verdict is Verdict.SCHEDULABLE
+        assert result.decided_by == "hier"
+        assert "escalated to hierarchical (BDR) analysis" in result.tier_trail
+        assert any(
+            "schedulable by flattened simulation" in step
+            for step in result.tier_trail
+        )
+        assert result.stats.counters["portfolio.escalations"] == 1
+
+    @pytest.mark.parametrize("fields, flags", STEADY_ROUTES)
+    def test_request_matches_hier(self, fields, flags):
+        from repro.analysis.request import analyze
+
+        hier = analyze(
+            AnalysisRequest(
+                TWO_MODE_PARTITION, modes="all", decomposition="hier"
+            )
+        )
+        result = analyze(AnalysisRequest(TWO_MODE_PARTITION, **fields))
+        assert self._per_mode(result) == self._per_mode(hier)
+        assert result.verdict is Verdict.SCHEDULABLE
+
+    @pytest.mark.parametrize("fields, flags", STEADY_ROUTES)
+    def test_cli_matches_hier(self, fields, flags, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "two_mode.aadl"
+        path.write_text(TWO_MODE_PARTITION)
+
+        def mode_lines(argv):
+            code = main(["analyze", str(path)] + argv)
+            out = capsys.readouterr().out
+            lines = [
+                line.strip() for line in out.splitlines()
+                if line.strip().startswith("mode ")
+            ]
+            return code, lines
+
+        hier_code, hier_lines = mode_lines(["--all-modes", "--hier"])
+        code, lines = mode_lines(flags)
+        assert hier_code == code == 0
+        assert lines == hier_lines
+        assert len(lines) == 2

@@ -16,7 +16,6 @@ from repro.aadl.properties import (
 from repro.analysis import Verdict, analyze_model
 from repro.cli import main
 from repro.portfolio import (
-    PortfolioAnalyzer,
     RtaTier,
     SimulationTier,
     Soundness,
@@ -25,6 +24,7 @@ from repro.portfolio import (
     analyze_portfolio,
     build_context,
     default_tiers,
+    screen,
     tiers_from_token,
 )
 from repro.portfolio.context import AnalyticUnit
@@ -184,10 +184,9 @@ class TestTierConfig:
         ]
 
     def test_token_roundtrip(self):
-        analyzer = PortfolioAnalyzer()
-        rebuilt = tiers_from_token(analyzer.config_token)
+        rebuilt = tiers_from_token("+".join(t.name for t in default_tiers()))
         assert [t.name for t in rebuilt] == [
-            t.name for t in analyzer.tiers
+            t.name for t in default_tiers()
         ]
 
     def test_unknown_tier_name_raises(self):
@@ -282,6 +281,41 @@ class TestPortfolioAnalysis:
         result = analyze_portfolio(instance)
         assert result.decided_by == "simulation"
         assert result.verdict is analyze_model(instance).verdict
+
+
+    def test_screen_leaves_undecided_units_to_the_caller(self):
+        instance = _single_cpu_system(
+            [
+                {"name": "a", "wcet": 1, "period": 4},
+                {"name": "b", "wcet": 2, "period": 8},
+            ],
+            scheduling=SchedulingProtocol.LEAST_LAXITY_FIRST,
+        )
+        result, attempts, trail = screen(instance, default_tiers())
+        assert result is None
+        assert "simulation" not in attempts
+        assert trail[-1] == "undecided after 6 tier(s): 1 unit(s) remain"
+
+    @pytest.mark.parametrize(
+        "keyword, value",
+        [
+            ("options", "translation options"),
+            ("max_seconds", 1.0),
+            ("stop_at_first_deadlock", False),
+            ("strategy", "dfs"),
+            ("observers", []),
+        ],
+    )
+    def test_portfolio_refuses_exploration_only_arguments(
+        self, keyword, value
+    ):
+        """The portfolio sets no exploration options: passing one with
+        ``portfolio=True`` is an error, not a silently dropped
+        argument."""
+        with pytest.raises(ValueError, match=keyword):
+            analyze_model(
+                two_periodic_threads(), portfolio=True, **{keyword: value}
+            )
 
 
 class TestPortfolioCli:

@@ -46,6 +46,7 @@ class TestDraw:
         (detail,) = outcome.details
         assert detail.startswith("layered request failed: ")
         assert "refuted by the unreduced search" in detail
+        assert outcome.counts == {"request.errors": 1}
 
     def test_failing_seed_reruns_alone(self):
         """Case i of a campaign draws from seed base+i alone, so the
@@ -81,6 +82,7 @@ class TestCampaign:
         assert counts["compose.fallback"] > 0
         assert counts["reduce.orbits_merged"] > 0
         assert counts["reduce.por_pruned"] > 0
+        assert counts["request.errors"] == 0
         text = report.format()
         assert "disagreed: 0" in text
         assert "reduce.por_pruned:" in text
@@ -148,4 +150,7 @@ class TestCli:
     def test_fault_exits_nonzero(self, capsys):
         argv = ["oracle", "request", "--seeds", "8"]
         assert main(argv + ["--fault", "overeager-sym"]) == 1
-        assert "DISAGREED seed 4 (smoke " in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "DISAGREED seed 4 (smoke " in out
+        # Seeds 4, 6 and 7 raise: their errors are counted, not dropped.
+        assert "  request.errors: 3\n" in out
