@@ -23,10 +23,10 @@ A from-scratch reproduction of *Schedulability Analysis of AADL Models*
 Quickstart::
 
     from repro import analyze_model
-    from repro.aadl import parse_model
+    from repro.aadl import infer_root, instantiate, parse_model
 
     model = parse_model(open("system.aadl").read())
-    result = analyze_model(model)
+    result = analyze_model(instantiate(model, infer_root(model)))
     print(result.verdict, result.scenario)
 """
 

@@ -33,7 +33,7 @@ from repro.aadl.components import (
     Subcomponent,
 )
 from repro.aadl.connections import Connection, ConnectionKind
-from repro.aadl.features import Port, PortDirection, PortKind
+from repro.aadl.features import Port, PortKind
 from repro.aadl.properties import (
     ACTUAL_CONNECTION_BINDING,
     ACTUAL_PROCESSOR_BINDING,
@@ -323,11 +323,6 @@ class ConnectionInstance:
         """Connection kind, determined by the destination port."""
         return self.destination.feature.kind
 
-    @property
-    def dispatches_destination(self) -> bool:
-        """True when arrival can dispatch a non-periodic destination thread."""
-        return self.kind.can_dispatch
-
     def connection_property(self, name: str) -> Optional[PropertyValue]:
         """Last declared value of a property across the syntactic chain."""
         result = None
@@ -391,6 +386,9 @@ class SystemInstance(ComponentInstance):
         self.connections: List[ConnectionInstance] = []
         #: qualified name of each multi-modal component -> its active mode
         self.active_modes: Dict[str, Optional[str]] = {}
+        #: the root's mode when instantiation overrode it (the instance
+        #: is that one steady mode), else None
+        self.pinned_mode: Optional[str] = None
         self.access_connections: List[AccessConnectionInstance] = []
 
     def connections_to(
@@ -414,6 +412,12 @@ class SystemInstance(ComponentInstance):
             for conn in self.connections
             if conn.source.component is instance
         ]
+
+    def multi_modal(self) -> bool:
+        """True when mode switches can occur within the instance's
+        behaviour: some component is multi-modal and instantiation did
+        not pin the root to one steady mode."""
+        return bool(self.active_modes) and self.pinned_mode is None
 
     def partitioned(self) -> bool:
         """True when any thread executes inside a virtual-processor
@@ -484,6 +488,7 @@ class SystemSlice(SystemInstance):
         self.bound_processor = None
         self.declarative = base.declarative
         self.active_modes = base.active_modes
+        self.pinned_mode = base.pinned_mode
         self.connections = [
             conn
             for conn in base.connections
@@ -620,7 +625,9 @@ def instantiate(
     ``mode_overrides`` maps implementation names to the mode to activate
     there instead of the initial one -- this is how per-mode analysis
     (``repro.analysis.modes``) instantiates each system operation mode of
-    a multi-modal model.
+    a multi-modal model.  An override of ``root_impl`` itself pins the
+    instance to that mode (:attr:`SystemInstance.pinned_mode`), which
+    lets the analyses claim a verdict for that steady mode alone.
     """
     impl = model.implementation(root_impl)
     ctype = model.type_of_impl(impl)
@@ -649,8 +656,9 @@ def instantiate(
         root = SystemInstance(
             root_name or impl.type_name, ctype, impl, model
         )
-        root.active_modes = {}
         _expand(root, model, overrides)
+        if impl.name.lower() in overrides:
+            root.pinned_mode = root.active_modes[root.qualified_name]
         _resolve_semantic_connections(root, overrides)
         _resolve_access_connections(root, overrides)
         _resolve_bindings(root)

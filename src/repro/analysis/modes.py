@@ -129,7 +129,8 @@ def analyze_all_modes(
     progress=None,
 ) -> ModalAnalysisResult:
     """Analyze every reachable mode of ``request.root`` in ``model``
-    (the model ``request.source`` denotes) as a separate bound system.
+    (whose printed text ``request.source`` is) as a separate bound
+    system.
 
     Each mode is one :func:`repro.batch.run_batch` job whose request is
     ``replace(request, modes=None, mode=m)``, so the portfolio tiers,

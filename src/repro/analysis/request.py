@@ -333,7 +333,6 @@ def analyze_configuration(request: AnalysisRequest, instance, **fan_out):
     """Steps 4-6 of the planner, for ``instance``: the request's system
     instantiated (in its pinned mode, if any).  ``fan_out`` is the
     ``workers`` / ``cache`` / ``progress`` of a compose run."""
-    steady = request.mode is not None
     if request.island is not None:
         from repro.compose.runner import analyze_island
 
@@ -345,14 +344,12 @@ def analyze_configuration(request: AnalysisRequest, instance, **fan_out):
     quantum = request.quantum
     if request.decomposition == "hier":
         from repro.hier import DEFAULT_MAX_WINDOW, analyze_hier
-        from repro.translate.quantum import TimingQuantizer
 
         return analyze_hier(
             instance,
-            quantizer=None if quantum is None else TimingQuantizer(quantum),
+            quantum=quantum,
             max_window=request.max_window or DEFAULT_MAX_WINDOW,
             fault=request.fault,
-            steady_mode=steady,
         )
     if request.tiers is not None:
         from repro.portfolio import analyze_portfolio
@@ -364,7 +361,6 @@ def analyze_configuration(request: AnalysisRequest, instance, **fan_out):
             max_states=request.max_states,
             reduction=request.reduce,
             reduction_fault=request.fault,
-            steady_mode=steady,
         )
     from repro.analysis.schedulability import analyze_model
 

@@ -18,16 +18,13 @@ from __future__ import annotations
 import enum
 from typing import Iterable, Optional, Union
 
-from repro.errors import AnalysisError, ExplorationLimitError
+from repro.errors import AnalysisError
 from repro.engine.budget import Budget
 from repro.engine.core import explore
-from repro.engine.observers import Observer
 from repro.engine.reduce import DEFAULT_REDUCTION, build_reduction
 from repro.engine.result import ExplorationResult
 from repro.engine.stats import EngineStats
-from repro.engine.strategies import SearchStrategy
-from repro.aadl.components import DeclarativeModel
-from repro.aadl.instance import SystemInstance, instantiate
+from repro.aadl.instance import SystemInstance
 from repro.aadl.properties import TimeValue
 from repro.analysis.raising import AadlScenario, raise_trace
 from repro.translate.quantum import TimingQuantizer
@@ -193,34 +190,28 @@ class AnalysisResult:
 
 
 def analyze_model(
-    model: Union[SystemInstance, DeclarativeModel],
+    instance: SystemInstance,
     *,
-    root_impl: Optional[str] = None,
     quantum: Optional[TimeValue] = None,
     options: Optional[TranslationOptions] = None,
     max_states: int = 1_000_000,
-    max_seconds: Optional[float] = None,
     stop_at_first_deadlock: bool = True,
-    strategy: Union[SearchStrategy, str, None] = None,
-    observers: Union[Observer, Iterable[Observer], None] = None,
     portfolio: bool = False,
     reduction: Union[str, Iterable[str], None] = DEFAULT_REDUCTION,
     reduction_fault: Optional[str] = None,
 ) -> AnalysisResult:
-    """Analyze a bound AADL model for schedulability.
+    """Analyze an instantiated, bound AADL system for schedulability.
 
-    Accepts either an instantiated system or a declarative model plus
-    ``root_impl``.  ``quantum`` overrides the default exact (GCD)
-    quantization; ``options`` gives full control over the translation.
-    ``strategy`` selects the engine search order (BFS by default, which
-    keeps counterexamples shortest) and ``observers`` attaches engine
-    instrumentation hooks to the run.  ``portfolio`` routes the model
-    through the default analytic tier chain first, escalating only when
-    no tier decides (:func:`repro.portfolio.analyze_portfolio`); that
-    route sets no exploration options, so ``options``, ``max_seconds``,
-    ``stop_at_first_deadlock=False``, ``strategy`` or ``observers``
-    with it raise :class:`ValueError`.  ``reduction`` names the state-space
-    reduction passes (``"sym,por"``-style spec, default
+    ``quantum`` overrides the default exact (GCD) quantization;
+    ``options`` gives full control over the translation.  The search is
+    breadth-first, which keeps counterexamples shortest.  ``portfolio``
+    routes the model through the default analytic tier chain first,
+    escalating only when no tier decides
+    (:func:`repro.portfolio.analyze_portfolio`); that route sets no
+    exploration options, so ``options`` or
+    ``stop_at_first_deadlock=False`` with it raise :class:`ValueError`.
+    ``reduction`` names the state-space reduction passes
+    (``"sym,por"``-style spec, default
     :data:`~repro.engine.reduce.DEFAULT_REDUCTION`; ``None`` or
     ``"none"`` explores unreduced) -- the verdict, including honest
     UNKNOWN on truncation, is preserved; ``reduction_fault`` injects a
@@ -234,21 +225,10 @@ def analyze_model(
     without a deadlock the reduction was unsound, and
     :class:`~repro.errors.AnalysisError` is raised.
     """
-    if isinstance(model, DeclarativeModel):
-        if root_impl is None:
-            raise ValueError(
-                "root_impl is required when passing a declarative model"
-            )
-        instance = instantiate(model, root_impl)
-    else:
-        instance = model
     if portfolio:
         given = {
             "options": options is not None,
-            "max_seconds": max_seconds is not None,
             "stop_at_first_deadlock": not stop_at_first_deadlock,
-            "strategy": strategy is not None,
-            "observers": observers is not None,
         }
         exploration_only = [name for name, set_ in given.items() if set_]
         if exploration_only:
@@ -282,23 +262,15 @@ def analyze_model(
         reduction_obj = build_reduction(
             translation, reduction, fault=reduction_fault
         )
-        budget = Budget(
-            max_states=max_states,
-            max_seconds=max_seconds,
-            on_limit="truncate",
-        )
+        budget = Budget(max_states=max_states, on_limit="truncate")
         exploration = explore(
             translation.system,
-            strategy=strategy,
             budget=budget,
             stop_at_first_deadlock=stop_at_first_deadlock,
-            observers=observers,
             reduction=reduction_obj,
         )
         if reduction_obj is not None and exploration.deadlock_states:
-            exploration = _unreduced_witness(
-                translation, exploration, budget, strategy
-            )
+            exploration = _unreduced_witness(translation, exploration, budget)
 
         trace = exploration.first_deadlock_trace()
         if trace is not None:
@@ -329,7 +301,6 @@ def _unreduced_witness(
     translation: TranslationResult,
     reduced: ExplorationResult,
     budget: Budget,
-    strategy: Union[SearchStrategy, str, None],
 ) -> ExplorationResult:
     """The exploration a reduced run's deadlock is raised from.
 
@@ -346,10 +317,7 @@ def _unreduced_witness(
     searches.
     """
     plain = explore(
-        translation.system,
-        strategy=strategy,
-        budget=budget,
-        stop_at_first_deadlock=True,
+        translation.system, budget=budget, stop_at_first_deadlock=True
     )
     if plain.completed and not plain.deadlock_states:
         raise AnalysisError(

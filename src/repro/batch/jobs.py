@@ -22,9 +22,10 @@ drawn from ambient state.  Three kinds exist:
   parameters may name local directories (bundles, verdict cache), so
   :mod:`repro.serve` refuses the kind.
 
-An ``analysis`` job may also hold the parsed model in memory (the
-``model`` slot, never serialized): inline execution and the cache key
-then use it instead of re-parsing the source.
+An ``analysis`` job may also hold the parsed model whose printed text
+its source is (the ``model`` slot, in memory only, never serialized):
+inline execution then uses it instead of re-parsing the source, and
+the cache key reads the source as is instead of printing it again.
 
 All kinds expose :meth:`AnalysisJob.canonical_model_text` and
 :meth:`AnalysisJob.key_options`, the two halves of the persistent
@@ -94,7 +95,8 @@ class AnalysisJob:
             ``batch_fault`` harness hook, and the budget and fault of a
             ``case`` job.
         request: the :class:`AnalysisRequest` of an ``analysis`` job.
-        model: the parsed request source, when the caller has it (in
+        model: the parsed model whose :func:`~repro.aadl.format_model`
+            text ``request.source`` is, when the caller has it (in
             memory only: never serialized, never shipped to a worker).
     """
 
@@ -133,8 +135,9 @@ class AnalysisJob:
         job_id: Optional[str] = None,
         model=None,
     ) -> "AnalysisJob":
-        """An ``analysis`` job; ``model`` is the already-parsed
-        ``request.source``, if the caller has it."""
+        """An ``analysis`` job; ``model`` is the parsed model whose
+        printed text ``request.source`` is, if the caller has it (a
+        fan-out's child)."""
         return cls(
             job_id=job_id or request.root or "aadl-model",
             kind="analysis",
@@ -231,13 +234,13 @@ class AnalysisJob:
     def canonical_model_text(self) -> str:
         """The canonical AADL text of the model under test.
 
-        Printing the parsed source (``analysis`` jobs; the in-memory
-        model when the job holds one) or regenerating it from the task
-        list (``case`` jobs) erases formatting, comments and
-        provenance, so two inputs that denote the same model share a
-        cache key and any semantic change breaks it.  The inferred root
-        is resolved here, making the key independent of whether the
-        caller spelled it out.
+        Printing the parsed source (``analysis`` jobs; a job holding
+        the in-memory model has that text as its source already) or
+        regenerating it from the task list (``case`` jobs) erases
+        formatting, comments and provenance, so two inputs that denote
+        the same model share a cache key and any semantic change breaks
+        it.  The inferred root is resolved here, making the key
+        independent of whether the caller spelled it out.
         """
         if self.kind == "relation":
             return ""  # the model is drawn from the seed inside the job
@@ -247,11 +250,12 @@ class AnalysisJob:
             return OracleCase.from_dict(self.payload["case"]).aadl_text()
         from repro.aadl import format_model, infer_root, parse_model
 
-        model = self.model
+        model, text = self.model, self.request.source
         if model is None:
-            model = parse_model(self.request.source)
+            model = parse_model(text)
+            text = format_model(model)
         root = self.request.root or infer_root(model)
-        return f"-- root: {root}\n" + format_model(model)
+        return f"-- root: {root}\n" + text
 
     def key_options(self) -> Dict[str, Any]:
         """Everything but the model that can change the verdict: the

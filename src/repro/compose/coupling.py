@@ -36,11 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.aadl.components import ComponentCategory
 from repro.aadl.features import AccessFeature, AccessKind, AccessCategory
-from repro.aadl.instance import (
-    ComponentInstance,
-    ConnectionInstance,
-    SystemInstance,
-)
+from repro.aadl.instance import ComponentInstance, SystemInstance
 from repro.translate.translator import (
     _needs_queue,
     group_threads_by_host,
@@ -175,13 +171,6 @@ class CouplingGraph:
                 threads.extend(self._by_processor.get(processor, ()))
             islands.append(Island(index, members, threads))
         return islands
-
-    def edges_between(self, a: ComponentInstance, b: ComponentInstance):
-        return [
-            edge
-            for edge in self.edges
-            if {edge.a, edge.b} == {a, b}
-        ]
 
 
 class Partition:
@@ -391,20 +380,18 @@ def build_coupling_graph(instance: SystemInstance) -> CouplingGraph:
     return CouplingGraph(processors, edges, by_processor)
 
 
-def partition_instance(
-    instance: SystemInstance, *, steady_mode: bool = False
-) -> Partition:
+def partition_instance(instance: SystemInstance) -> Partition:
     """Decide how (whether) to decompose ``instance``.
 
     Returns a :class:`Partition`: islands when decomposition is sound
     and actually splits the model, otherwise a fallback reason --
     multi-modal models (mode switches couple every processor), fewer
     than two processors, or a coupling graph that is one connected
-    component.  ``steady_mode`` waives the multi-modal bar: the caller
-    pinned the instance to one mode and claims the verdict for that
-    steady mode only, so no switch can reshape the islands.
+    component.  An instance pinned to one mode passes the multi-modal
+    bar: its verdict is claimed for that steady mode only, so no switch
+    can reshape the islands.
     """
-    if instance.active_modes and not steady_mode:
+    if instance.multi_modal():
         modal = ", ".join(sorted(instance.active_modes))
         return Partition(
             instance,

@@ -33,14 +33,12 @@ from repro.compose.combiner import CompositionResult, combine_outcomes
 from repro.compose.coupling import Partition, partition_instance
 from repro.translate.quantum import TimingQuantizer
 
-def plan(
-    instance: SystemInstance, *, steady_mode: bool = False
-) -> Partition:
+def plan(instance: SystemInstance) -> Partition:
     """Partition without analyzing (the ``repro compose plan`` command)."""
     from repro.obs.tracer import current_tracer
 
     with current_tracer().span("compose.partition") as span:
-        partition = partition_instance(instance, steady_mode=steady_mode)
+        partition = partition_instance(instance)
         span.set(
             decomposable=partition.decomposable,
             islands=len(partition.islands),
@@ -59,7 +57,8 @@ def analyze_compositionally(
     progress: Optional[ProgressFn] = None,
 ) -> CompositionResult:
     """Analyze ``instance`` -- ``request``'s system, instantiated in its
-    pinned mode if any -- island by island when that is sound, and as
+    pinned mode if any, from the model whose printed text
+    ``request.source`` is -- island by island when that is sound, and as
     one system (the planner's :func:`~repro.analysis.request.
     analyze_configuration` on the same instance, with the reason
     recorded on the result) when it is not.
@@ -85,8 +84,7 @@ def analyze_compositionally(
     from repro.obs.tracer import current_tracer
 
     tracer = current_tracer()
-    steady = request.mode is not None
-    partition = plan(instance, steady_mode=steady)
+    partition = plan(instance)
 
     if not partition.decomposable:
         tiers = request.tiers
@@ -113,9 +111,7 @@ def analyze_compositionally(
 
     outcomes: dict = {}
     if request.tiers is not None:
-        outcomes = _screen_islands(
-            instance, partition, pinned_quantizer, steady_mode=steady
-        )
+        outcomes = _screen_islands(instance, partition, pinned_quantizer)
     pending_islands = [
         island for island in partition.islands if island.label not in outcomes
     ]
@@ -194,7 +190,6 @@ def analyze_island(
             quantum=request.quantum,
             max_states=request.max_states,
             reduction=request.reduce,
-            steady_mode=request.mode is not None,
         )
         span.set(verdict=result.verdict.value).incr(
             "states", result.num_states
@@ -206,8 +201,6 @@ def _screen_islands(
     instance: SystemInstance,
     partition: Partition,
     quantizer: TimingQuantizer,
-    *,
-    steady_mode: bool = False,
 ) -> dict:
     """Try the analytic tiers on each island slice, in-process.
 
@@ -223,9 +216,7 @@ def _screen_islands(
     for island in partition.islands:
         keep = list(island.threads) + list(island.processors)
         sliced = slice_instance(instance, keep, label=island.label)
-        result, _, _ = screen(
-            sliced, tiers, quantizer=quantizer, steady_mode=steady_mode
-        )
+        result, _, _ = screen(sliced, tiers, quantizer=quantizer)
         if result is None:
             continue
         decided[island.label] = JobOutcome(

@@ -9,7 +9,7 @@ flattened simulation when the (sufficient) interface check cannot
 settle a partition.  See ``docs/hier.md``.
 """
 
-from repro.hier.analysis import analyze_hier, derive_interfaces
+from repro.hier.analysis import analyze_hier
 from repro.hier.check import (
     PartitionCheck,
     check_partition,
@@ -30,7 +30,6 @@ __all__ = [
     "FlattenedRun",
     "DEFAULT_MAX_WINDOW",
     "analyze_hier",
-    "derive_interfaces",
     "check_partition",
     "check_partition_edf",
     "check_partition_fp",

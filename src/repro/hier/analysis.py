@@ -32,66 +32,31 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.aadl.instance import SystemInstance
-from repro.aadl.properties import EXECUTION_TIME, PERIOD, SchedulingProtocol
+from repro.aadl.properties import SchedulingProtocol, TimeValue
 from repro.analysis.schedulability import AnalysisResult, Verdict
 from repro.engine.stats import EngineStats
 from repro.errors import HierError
 from repro.hier.check import check_partition, fractional_utilization
 from repro.hier.flatten import DEFAULT_MAX_WINDOW, simulate_partition
-from repro.hier.interface import BdrInterface
 from repro.sched.simulation import simulate
 from repro.translate.quantum import TimingQuantizer
-
-
-def derive_interfaces(
-    instance: SystemInstance,
-    quantizer: Optional[TimingQuantizer] = None,
-    *,
-    fault: Optional[str] = None,
-) -> Dict[str, BdrInterface]:
-    """BDR interfaces of every thread-bearing virtual processor, keyed
-    by qualified name.  ``fault`` injects a registered
-    :data:`~repro.hier.interface.HIER_FAULTS` derivation bug (oracle
-    self-tests only)."""
-    quantizer = quantizer or TimingQuantizer.natural(instance)
-    interfaces: Dict[str, BdrInterface] = {}
-    threads = instance.threads()
-    for vproc in instance.virtual_processors():
-        if not any(t.bound_processor is vproc for t in threads):
-            continue
-        name = vproc.qualified_name
-        period_tv = vproc.property_time(PERIOD)
-        budget_tv = vproc.property_time(EXECUTION_TIME)
-        if period_tv is None or budget_tv is None:
-            raise HierError(
-                f"virtual processor {name}: missing server Period or "
-                f"Execution_Time"
-            )
-        interfaces[name] = BdrInterface.from_server(
-            name,
-            quantizer.quanta_ceil(period_tv),
-            quantizer.quanta_floor(budget_tv),
-            fault=fault,
-        )
-    return interfaces
 
 
 def analyze_hier(
     instance: SystemInstance,
     *,
-    quantizer: Optional[TimingQuantizer] = None,
+    quantum: Optional[TimeValue] = None,
     max_window: int = DEFAULT_MAX_WINDOW,
     fault: Optional[str] = None,
-    steady_mode: bool = False,
 ) -> AnalysisResult:
-    """Decide a partitioned system through its BDR interfaces.
-
-    ``steady_mode`` waives the multi-modal applicability bar for an
-    instance the caller pinned to one mode (the verdict then covers
-    that steady mode only)."""
+    """Decide a partitioned system through its BDR interfaces, under
+    ``quantum`` (None: the natural GCD quantum).  An instance pinned to
+    one mode is decided for that steady mode only.  ``fault`` injects a
+    registered :data:`~repro.hier.interface.HIER_FAULTS` derivation bug
+    into every partition's interface (oracle self-tests only)."""
     from repro.obs.tracer import current_tracer
 
     tracer = current_tracer()
@@ -101,7 +66,7 @@ def analyze_hier(
 
     with tracer.span("hier.derive", root=instance.qualified_name) as span:
         context = build_context(
-            instance, quantizer=quantizer, steady_mode=steady_mode
+            instance, None if quantum is None else TimingQuantizer(quantum)
         )
         if not context.applicable:
             raise HierError(
@@ -118,11 +83,8 @@ def analyze_hier(
                 "plain analysis"
             )
         if fault:
-            faulty = derive_interfaces(
-                instance, context.quantizer, fault=fault
-            )
             for unit in partition_units:
-                unit.interface = faulty[unit.processor]
+                unit.interface = unit.interface.with_fault(fault)
         span.set(
             partitions=len(partition_units),
             hosts=len(host_units),

@@ -96,22 +96,22 @@ class BdrInterface:
         *,
         fault: Optional[str] = None,
     ) -> "BdrInterface":
-        """The BDR interface of a periodic server ``(period, budget)``.
+        """The BDR interface of a periodic server ``(period, budget)``,
+        derived under ``fault`` (see :meth:`with_fault`)."""
+        return cls(name, period, budget).with_fault(fault)
 
-        ``fault`` injects a registered :data:`HIER_FAULTS` entry into
-        the derivation (self-test hook for the hier oracle campaign).
+    def with_fault(self, fault: Optional[str]) -> "BdrInterface":
+        """This interface's server re-derived with a registered
+        :data:`HIER_FAULTS` entry injected (self-test hook for the hier
+        oracle campaign); the interface itself when ``fault`` is None.
         """
         if fault is None:
-            return cls(name, period, budget)
+            return self
         if fault == "inflate-alpha":
-            honest = Fraction(budget, period)
+            honest = Fraction(self.budget, self.period)
             inflated = min(Fraction(1), honest * Fraction(5, 4))
-            return cls(
-                name,
-                period,
-                budget,
-                alpha=inflated,
-                delta=2 * (period - budget),
+            return BdrInterface(
+                self.name, self.period, self.budget, alpha=inflated
             )
         raise HierError(
             f"unknown hier fault {fault!r}; choose from {list(HIER_FAULTS)}"

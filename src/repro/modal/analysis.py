@@ -117,14 +117,6 @@ class ModalResult:
     def num_states(self) -> int:
         return self.steady.num_states
 
-    @property
-    def failing_transitions(self) -> List[TransitionOutcome]:
-        return [
-            o
-            for o in self.transitions
-            if o.verdict is Verdict.UNSCHEDULABLE
-        ]
-
     def format(self, *, show_stats: bool = False) -> str:
         lines = [
             f"modal analysis of {self.impl_name} "
@@ -426,9 +418,7 @@ def _steady_unit_map(
 
     units: Dict[str, object] = {}
     for key, instance in instances.items():
-        context = build_context(
-            instance, quantizer=quantizer, steady_mode=True
-        )
+        context = build_context(instance, quantizer=quantizer)
         if not context.applicable:
             units[key] = f"mode {key}: {context.inapplicable}"
         else:

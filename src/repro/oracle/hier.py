@@ -58,7 +58,6 @@ def evaluate(
     factor, server period, scheduling mix) derives from the seed, so a
     failing seed reproduces byte-for-byte."""
     from repro.aadl.properties import SchedulingProtocol
-    from repro.hier.analysis import derive_interfaces
     from repro.hier.check import check_partition
     from repro.hier.flatten import simulate_partition
     from repro.portfolio.context import build_context
@@ -81,18 +80,14 @@ def evaluate(
             f"seed {seed}: generated model fell outside the analytic "
             f"fragment: {context.inapplicable}"
         )
-    faulty = (
-        derive_interfaces(instance, context.quantizer, fault=fault)
-        if fault
-        else None
-    )
-
     statuses = []
     details: List[str] = []
     interface_passes = sim_passes = conservative = 0
     partition_units = [u for u in context.units if u.interface is not None]
     for unit in partition_units:
-        checked = faulty[unit.processor] if faulty else unit.interface
+        honest = unit.interface
+        # ``fault`` corrupts the abstraction under test only.
+        checked = honest.with_fault(fault)
         check = check_partition(
             unit.tasks,
             checked,
@@ -103,12 +98,11 @@ def evaluate(
             ),
         )
         interface_ok = check is not None and check.ok
-        # The flattened side always runs the *true* server parameters:
-        # a fault may only corrupt the abstraction under test.
+        # The flattened side always runs the *true* server parameters.
         run = simulate_partition(
             unit.tasks,
-            unit.interface.period,
-            unit.interface.budget,
+            honest.period,
+            honest.budget,
             policy=unit.sim_policy or "rate",
             max_window=max_window,
         )

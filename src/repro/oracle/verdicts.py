@@ -25,11 +25,10 @@ sufficient and leaves an explanatory note.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable, List, Optional, Union
+from typing import Callable, List, Optional
 
 from repro.aadl.properties import SchedulingProtocol
 from repro.analysis.schedulability import AnalysisResult, Verdict, analyze_model
-from repro.engine.observers import Observer
 from repro.errors import SchedError
 from repro.oracle.case import OracleCase
 from repro.sched.demand import edf_schedulable
@@ -135,7 +134,6 @@ def run_pipeline(
     *,
     max_states: int = 300_000,
     fault: Optional[FaultFn] = None,
-    observers: Union[Observer, Iterable[Observer], None] = None,
 ) -> AnalysisResult:
     """The full AADL -> ACSR -> engine pipeline verdict for a case.
 
@@ -148,7 +146,7 @@ def run_pipeline(
     if fault is not None:
         tasks = fault(tasks)
     instance = task_set_to_system(tasks, scheduling=case.protocol())
-    return analyze_model(instance, max_states=max_states, observers=observers)
+    return analyze_model(instance, max_states=max_states)
 
 
 def classical_verdicts(case: OracleCase) -> List[OracleVerdict]:
@@ -306,14 +304,11 @@ def evaluate_case(
     *,
     max_states: int = 300_000,
     fault: Optional[FaultFn] = None,
-    observers: Union[Observer, Iterable[Observer], None] = None,
 ):
     """Convenience: pipeline + oracles + classification in one call.
 
     Returns ``(pipeline_result, oracle_verdicts, classification)``.
     """
-    pipeline = run_pipeline(
-        case, max_states=max_states, fault=fault, observers=observers
-    )
+    pipeline = run_pipeline(case, max_states=max_states, fault=fault)
     oracles = classical_verdicts(case)
     return pipeline, oracles, classify(pipeline, oracles)

@@ -42,15 +42,12 @@ def screen(
     tiers: Sequence[Tier],
     *,
     quantizer: Optional[TimingQuantizer] = None,
-    steady_mode: bool = False,
 ) -> Tuple[Optional[AnalysisResult], Dict[str, int], List[str]]:
     """Run the tier chain ``tiers``; returns ``(result, attempts, trail)``.
 
     ``result`` is None when undecided; ``attempts`` counts tiers
     consulted (for the escalation path to fold into its stats) and
-    ``trail`` narrates each tier's contribution.  ``steady_mode``
-    waives the multi-modal applicability bar for instances pinned
-    to one mode (see :func:`repro.portfolio.context.build_context`).
+    ``trail`` narrates each tier's contribution.
     """
     from repro.obs.tracer import current_tracer
 
@@ -59,9 +56,7 @@ def screen(
     attempts: Dict[str, int] = {}
     trail: List[str] = []
 
-    context = build_context(
-        instance, quantizer=quantizer, steady_mode=steady_mode
-    )
+    context = build_context(instance, quantizer=quantizer)
     if not context.applicable:
         trail.append(f"inapplicable: {context.inapplicable}")
         return None, attempts, trail
@@ -148,7 +143,6 @@ def escalate(
     max_states: int = 1_000_000,
     reduction=DEFAULT_REDUCTION,
     reduction_fault: Optional[str] = None,
-    steady_mode: bool = False,
 ) -> AnalysisResult:
     """The exact analysis of ``instance``, for what the tiers leave
     undecided.
@@ -157,17 +151,13 @@ def escalate(
     processor into a full one would silently over-supply the partition.
     So a partitioned instance goes to the hierarchical analysis
     (interface check plus supply-aware flattened simulation), which
-    ``steady_mode`` lets speak for one pinned mode; any other instance
-    to exhaustive exploration under ``reduction``.
+    speaks for one mode when the instance is pinned to it; any other
+    instance to exhaustive exploration under ``reduction``.
     """
     if instance.partitioned():
         from repro.hier.analysis import analyze_hier
 
-        return analyze_hier(
-            instance,
-            quantizer=None if quantum is None else TimingQuantizer(quantum),
-            steady_mode=steady_mode,
-        )
+        return analyze_hier(instance, quantum=quantum)
     return analyze_model(
         instance,
         quantum=quantum,
@@ -185,7 +175,6 @@ def analyze_portfolio(
     max_states: int = 1_000_000,
     reduction=DEFAULT_REDUCTION,
     reduction_fault: Optional[str] = None,
-    steady_mode: bool = False,
 ) -> AnalysisResult:
     """Tiered analysis: the chain named by the ``tiers`` token (see
     :func:`~repro.portfolio.tiers.tiers_from_token`; None is the default
@@ -196,18 +185,13 @@ def analyze_portfolio(
     other, and the per-tier counters land on the engine stats either
     way.  ``max_states`` and ``reduction`` / ``reduction_fault`` only
     matter on escalation -- the analytic tiers never build the state
-    space.  ``steady_mode`` asserts the instance is pinned to one
-    operation mode so the tiers and the escalation may speak for it
-    (per-mode drivers only).
+    space.
     """
     from repro.obs.tracer import current_tracer
 
     quantizer = TimingQuantizer(quantum) if quantum is not None else None
     result, attempts, trail = screen(
-        instance,
-        tiers_from_token(tiers),
-        quantizer=quantizer,
-        steady_mode=steady_mode,
+        instance, tiers_from_token(tiers), quantizer=quantizer
     )
     if result is not None:
         return result
@@ -220,7 +204,6 @@ def analyze_portfolio(
             max_states=max_states,
             reduction=reduction,
             reduction_fault=reduction_fault,
-            steady_mode=steady_mode,
         )
         if result.decided_by == "hier":
             span.set(hier=True)

@@ -131,25 +131,20 @@ class PortfolioContext:
 def build_context(
     instance: SystemInstance,
     quantizer: Optional[TimingQuantizer] = None,
-    *,
-    steady_mode: bool = False,
 ) -> PortfolioContext:
     """Screen ``instance`` and extract per-processor analytic units.
 
-    ``steady_mode=True`` is the caller's assertion that ``instance``
-    was pinned to one system operation mode (``mode_overrides``) and
-    the verdict is claimed for that steady mode only; the multi-modal
-    applicability bar is then waived, since no mode switch can occur
-    within the analyzed behaviour.  Per-mode drivers
-    (:func:`repro.analysis.modes.analyze_all_modes`,
-    :mod:`repro.modal`) set it; plain whole-model analysis must not.
+    An instance pinned to one system operation mode
+    (:attr:`~repro.aadl.instance.SystemInstance.pinned_mode`) passes
+    the multi-modal applicability bar: the verdict is claimed for that
+    steady mode only, and no mode switch occurs within its behaviour.
 
     ``quantizer`` pins the quantum when the caller will escalate with a
     quantum override; the default is the same exact GCD quantizer the
     translation uses, which keeps the analytic and exploration verdicts
     about the same discrete model.
     """
-    reason = _outside_classical_fragment(instance, steady_mode=steady_mode)
+    reason = _outside_classical_fragment(instance)
     if reason is not None:
         return PortfolioContext([], None, reason)
     try:
@@ -293,9 +288,7 @@ def build_context(
     return PortfolioContext(units, quantizer)
 
 
-def _outside_classical_fragment(
-    instance: SystemInstance, *, steady_mode: bool = False
-) -> Optional[str]:
+def _outside_classical_fragment(instance: SystemInstance) -> Optional[str]:
     """The reason the classical task model does not cover ``instance``,
     or None when it does."""
     threads = instance.threads()
@@ -333,10 +326,7 @@ def _outside_classical_fragment(
             )
     if instance.access_connections:
         return "model has shared data access"
-    if instance.active_modes and not steady_mode:
-        # A steady-mode caller pinned the instance to one mode and
-        # claims the verdict for that mode only, so the switch-coupling
-        # objection does not apply.
+    if instance.multi_modal():
         return "model has multi-modal components"
     if instance.buses() or instance.devices():
         return "model has buses or devices"

@@ -3,11 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.aadl import parse_model
 from repro.aadl.gallery import (
     aperiodic_worker,
     cruise_control,
-    cruise_control_text,
     sporadic_consumer,
     two_periodic_threads,
 )
@@ -41,16 +39,6 @@ class TestVerdicts:
         result = analyze_model(cruise_control(), max_states=10)
         assert result.verdict is Verdict.UNKNOWN
         assert result.schedulable is None
-
-    def test_declarative_model_accepted(self):
-        model = parse_model(cruise_control_text())
-        result = analyze_model(model, root_impl="CruiseControl.impl")
-        assert result.verdict is Verdict.SCHEDULABLE
-
-    def test_declarative_requires_root_impl(self):
-        model = parse_model(cruise_control_text())
-        with pytest.raises(ValueError):
-            analyze_model(model)
 
     def test_quantum_override(self):
         result = analyze_model(cruise_control(), quantum=ms(5))

@@ -11,12 +11,14 @@ from fractions import Fraction
 
 import pytest
 
+from repro.aadl import instantiate, parse_model, slice_instance
 from repro.aadl.builder import SystemBuilder
 from repro.aadl.gallery import arinc_partitions, arinc_partitions_text
 from repro.analysis import Verdict
 from repro.analysis.request import AnalysisRequest
 from repro.batch.cache import cache_key
 from repro.batch.jobs import AnalysisJob, execute_job
+from repro.compose.coupling import partition_instance
 from repro.errors import HierError, SchedError, TranslationError
 from repro.hier import (
     BdrInterface,
@@ -24,9 +26,9 @@ from repro.hier import (
     check_partition,
     check_partition_edf,
     check_partition_fp,
-    derive_interfaces,
     simulate_partition,
 )
+from repro.portfolio.context import build_context
 from repro.sched.simulation import exact_simulation_horizon
 from repro.sched.taskmodel import PeriodicTask, TaskSet
 
@@ -91,6 +93,7 @@ class TestBdrInterface:
         assert faulty.alpha == Fraction(1, 2)  # 2/5 * 5/4
         assert faulty.delta == honest.delta
         assert (faulty.period, faulty.budget) == (10, 4)
+        assert honest.with_fault(None) is honest
 
     def test_unknown_fault_rejected(self):
         with pytest.raises(HierError, match="unknown hier fault"):
@@ -200,6 +203,15 @@ class TestFlattenedSimulation:
         assert simulate_partition(tasks, 10, 5).schedulable
 
 
+def _interfaces(instance):
+    """The BDR interface of each partition unit, keyed by partition."""
+    return {
+        unit.processor: unit.interface
+        for unit in build_context(instance).units
+        if unit.interface is not None
+    }
+
+
 class TestAnalyzeHier:
     def test_gallery_model_decided_by_interface(self):
         result = analyze_hier(arinc_partitions())
@@ -215,7 +227,7 @@ class TestAnalyzeHier:
         )
 
     def test_derive_interfaces_from_gallery(self):
-        interfaces = derive_interfaces(arinc_partitions())
+        interfaces = _interfaces(arinc_partitions())
         assert interfaces["Avionics.flight"].alpha == Fraction(1, 2)
         assert interfaces["Avionics.display"].delta == 30
 
@@ -254,10 +266,9 @@ class TestAnalyzeHier:
         # only utilization separates the verdicts... checked by the
         # oracle campaign at scale; here we just pin that the fault
         # reaches the derivation.
-        faulty = derive_interfaces(
-            partitioned_builder().instantiate(), fault="inflate-alpha"
-        )
-        assert faulty["Part.part"].alpha == Fraction(5, 8)
+        honest = _interfaces(partitioned_builder().instantiate())["Part.part"]
+        faulty = honest.with_fault("inflate-alpha")
+        assert faulty.alpha == Fraction(5, 8)
 
     def test_unpartitioned_model_refused(self):
         b = SystemBuilder("Flat")
@@ -601,3 +612,51 @@ class TestPartitionedSteadyModes:
         assert hier_code == code == 0
         assert lines == hier_lines
         assert len(lines) == 2
+
+
+class TestPinnedInstance:
+    """An instance instantiated with its root's mode overridden is
+    pinned to that mode: every layer waives the multi-modal bar for it
+    without being told, and refuses the same model unpinned."""
+
+    @staticmethod
+    def _instance(mode=None):
+        overrides = {"Node.impl": mode} if mode is not None else None
+        return instantiate(
+            parse_model(TWO_MODE_PARTITION),
+            "Node.impl",
+            mode_overrides=overrides,
+        )
+
+    def test_override_of_the_root_pins_its_declared_mode(self):
+        assert self._instance("BUSY").pinned_mode == "busy"
+        assert self._instance().pinned_mode is None
+        assert not self._instance("busy").multi_modal()
+        assert self._instance().multi_modal()
+
+    @pytest.mark.parametrize("mode", ["idle", "busy"])
+    def test_pinned_mode_passes_every_multi_modal_bar(self, mode):
+        instance = self._instance(mode)
+        assert build_context(instance).applicable
+        partition = partition_instance(instance)
+        assert partition.fallback_reason.startswith("1 bound processor")
+        result = analyze_hier(instance)
+        assert result.verdict is Verdict.SCHEDULABLE
+        assert result.decided_by == "hier"
+
+    def test_slice_stays_pinned(self):
+        instance = self._instance("busy")
+        ctl = next(iter(instance.threads()))
+        sliced = slice_instance(instance, [ctl], label="ctl")
+        assert sliced.pinned_mode == "busy"
+        assert not sliced.multi_modal()
+        assert build_context(sliced).applicable
+
+    def test_unpinned_model_is_still_multi_modal(self):
+        instance = self._instance()
+        context = build_context(instance)
+        assert context.inapplicable == "model has multi-modal components"
+        partition = partition_instance(instance)
+        assert partition.fallback_reason.startswith("multi-modal model")
+        with pytest.raises(HierError, match="multi-modal components"):
+            analyze_hier(instance)

@@ -300,10 +300,7 @@ class TestPortfolioAnalysis:
         "keyword, value",
         [
             ("options", "translation options"),
-            ("max_seconds", 1.0),
             ("stop_at_first_deadlock", False),
-            ("strategy", "dfs"),
-            ("observers", []),
         ],
     )
     def test_portfolio_refuses_exploration_only_arguments(

@@ -118,12 +118,75 @@ class TestCanonicalForm:
         self, name, source, model
     ):
         job = AnalysisJob.from_request(
-            AnalysisRequest(source=source), model=model
+            AnalysisRequest(source=format_model(model)), model=model
         )
         clone = AnalysisJob.from_dict(job.to_dict())
         assert clone.model is None
         assert "model" not in job.to_dict()
         assert cache_key(job) == cache_key(clone)
+        assert cache_key(job) == cache_key(
+            AnalysisJob.from_request(AnalysisRequest(source=source))
+        )
+
+    @pytest.mark.parametrize(
+        "source, fields",
+        [
+            (gallery.fault_recovery_text(), {"modes": "all"}),
+            (
+                format_model(gallery.dual_island().declarative),
+                {"decomposition": "compose"},
+            ),
+        ],
+        ids=["modes", "islands"],
+    )
+    def test_fan_out_job_keys_like_its_model_free_request(
+        self, monkeypatch, source, fields
+    ):
+        """A fan-out's child holds the parsed model and reads its
+        printed source as is; its key is that of the same request
+        without the in-memory model."""
+        import repro.batch
+        import repro.compose.runner
+
+        jobs = []
+
+        def capture(batch, **kwargs):
+            jobs.extend(batch)
+            return run_batch(batch, **kwargs)
+
+        run_batch = repro.batch.run_batch
+        monkeypatch.setattr(repro.batch, "run_batch", capture)
+        monkeypatch.setattr(repro.compose.runner, "run_batch", capture)
+        analyze(AnalysisRequest(source=source, **fields), workers=1)
+        assert len(jobs) >= 2
+        for job in jobs:
+            assert job.model is not None
+            clone = AnalysisJob.from_dict(job.to_dict())
+            assert cache_key(job) == cache_key(clone)
+
+    def test_modal_fan_out_prints_the_model_once(self, monkeypatch):
+        import repro.aadl
+        import repro.aadl.printer
+        import repro.modal.analysis
+
+        printed = []
+
+        def counting(model):
+            printed.append(model)
+            return format_model(model)
+
+        for module in (repro.aadl, repro.aadl.printer, repro.modal.analysis):
+            monkeypatch.setattr(module, "format_model", counting)
+        model = parse_model(gallery.fault_recovery_text())
+        result = analyze_modal(
+            model,
+            infer_root(model),
+            protocol="asynchronous",
+            portfolio=True,
+            workers=1,
+        )
+        assert result.verdict is Verdict.SCHEDULABLE
+        assert len(printed) == 1
 
 
 class TestRejections:
